@@ -424,7 +424,7 @@ class Machine:
                 "use --shards 1"
             )
         if ("send" in self.fabric.__dict__
-                or "_schedule_arrival" in self.fabric.__dict__):
+                or self.fabric._schedule_arrival != self.sim.at):
             raise ConfigurationError(
                 "a wrapped fabric (protocol tracer) observes only this "
                 "process; trace with --shards 1"

@@ -11,6 +11,7 @@ NWO, the simulator the paper's results come from.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import os
 
@@ -186,28 +187,33 @@ class MachineParams:
     # ------------------------------------------------------------------
     # Derived geometry
     # ------------------------------------------------------------------
+    # Computed once per instance: misses, fills and home lookups read
+    # these thousands of times per run.  ``cached_property`` stores into
+    # the instance ``__dict__`` (allowed on a frozen dataclass), so the
+    # cache is invisible to ``fields()``, ``asdict()``, equality and
+    # hashing — job and cache keys are unchanged.
 
-    @property
+    @functools.cached_property
     def mesh_side(self) -> int:
         """Width (= height) of the square mesh."""
         return int(math.isqrt(self.n_nodes))
 
-    @property
+    @functools.cached_property
     def block_words(self) -> int:
         """Words per cache/memory block."""
         return self.block_bytes // WORD_BYTES
 
-    @property
+    @functools.cached_property
     def block_shift(self) -> int:
         """log2(words per block); ``addr >> block_shift`` is the block id."""
         return self.block_words.bit_length() - 1
 
-    @property
+    @functools.cached_property
     def cache_sets(self) -> int:
         """Number of lines in the direct-mapped cache."""
         return self.cache_bytes // self.block_bytes
 
-    @property
+    @functools.cached_property
     def local_mem_blocks(self) -> int:
         """Blocks of shared memory owned by each node."""
         return self.local_mem_words // self.block_words

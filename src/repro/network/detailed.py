@@ -87,11 +87,14 @@ class DetailedFabric(Fabric):
 
         msg.delivered_at = deliver
         self.flits_carried += msg.size_flits
+        self._deliveries += 1
         # The delivery event is owned by the receiving node: send() runs
         # in the sender's event context, and two same-channel messages
         # clamped to the same delivery cycle must sort in send order —
-        # per-receiver sequence numbers give exactly that, while a
-        # sender-context owner would order them arbitrarily.
-        self.sim.at(deliver, partial(self._deliver, msg), owner=msg.dst)
+        # keys naming the receiver rank in allocation order, which gives
+        # exactly that, while a sender-context owner would order them
+        # arbitrarily.
+        self.sim.at(deliver, partial(self._receivers[msg.dst], msg),
+                    owner=msg.dst)
         if self.obs is not None:
             self._notify(msg)

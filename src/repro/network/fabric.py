@@ -23,7 +23,7 @@ serialise through it.
 from __future__ import annotations
 
 from functools import partial
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Any, Callable, List, Optional
 
 from repro.network.topology import Mesh
 from repro.obs.events import MessageSent
@@ -92,8 +92,18 @@ class Fabric:
         #: Network channels need no such clamp: the transmit queue
         #: ratchets per-channel arrivals into send order.
         self._loop_last = [0] * mesh.n_nodes
-        self._receivers: Dict[int, Receiver] = {}
-        self.messages_delivered = 0
+        #: delivery callback per node id, called directly by each
+        #: delivery event; an unattached slot raises when a message
+        #: reaches it.
+        self._receivers: List[Receiver] = [self._unattached] * mesh.n_nodes
+        #: delivery events scheduled so far (see messages_delivered)
+        self._deliveries = 0
+        #: schedules an arrival event ``(time, fn)``; ``fn`` is a
+        #: ``partial(self._receive, msg)``.  The serial fabric binds the
+        #: engine's ``at`` directly (no extra frame per message); the
+        #: sharded runtime replaces it to ship cross-shard arrivals,
+        #: with their sender-allocated keys, to the owning shard.
+        self._schedule_arrival = sim.at
         self.flits_carried = 0
         #: observability bus (set by Machine.observe); probe sites stay
         #: a single None-check until someone is listening
@@ -102,6 +112,27 @@ class Fabric:
     def attach(self, node: int, receiver: Receiver) -> None:
         """Register the delivery callback for ``node``."""
         self._receivers[node] = receiver
+
+    @staticmethod
+    def _unattached(msg: Message) -> None:
+        raise RuntimeError(f"no receiver attached at node {msg.dst}")
+
+    @property
+    def messages_delivered(self) -> int:
+        """Messages whose delivery event has run.
+
+        Delivery events call the receiver directly, so nothing counts
+        them as they fire.  The count is derived on read instead: the
+        deliveries scheduled, minus those still queued — a run stopped
+        by ``until`` leaves later deliveries queued, and they do not
+        count.
+        """
+        receivers = self._receivers
+        queued = sum(
+            1 for event in self.sim._heap
+            if type(event[3]) is partial and event[3].func in receivers
+        )
+        return self._deliveries - queued
 
     def send(self, msg: Message, extra_delay: int = 0) -> None:
         """Inject ``msg`` into the fabric.
@@ -120,16 +151,17 @@ class Fabric:
         if src == msg.dst:
             # Loopback (e.g. a node's own CMMU): charge no queue time,
             # but keep the channel FIFO (ties break in send order via
-            # the owner-local event sequence).
+            # the event sequence number).
             deliver = now + 1
             last = self._loop_last[src]
             if last > deliver:
                 deliver = last
             self._loop_last[src] = deliver
             msg.delivered_at = deliver
-            # partial beats a lambda here: calling it enters _deliver
-            # directly from C instead of through an extra Python frame.
-            self.sim.at(deliver, partial(self._deliver, msg))
+            self._deliveries += 1
+            # partial beats a lambda here: calling it enters the
+            # receiver directly from C, with no extra Python frame.
+            self.sim.at(deliver, partial(self._receivers[src], msg))
             if self.obs is not None:
                 self._notify(msg)
             return
@@ -141,16 +173,7 @@ class Fabric:
         tx_done = tx_start + size
         tx_free[src] = tx_done
         arrival = tx_done + self._transit[src * self._n_nodes + msg.dst]
-        self._schedule_arrival(msg, arrival)
-
-    def _schedule_arrival(self, msg: Message, arrival: int) -> None:
-        """Schedule ``msg``'s arrival at its destination.
-
-        Overridden by the sharded fabric: a cross-shard message's
-        arrival event is shipped (with its sender-allocated key) to the
-        shard that owns the destination instead of the local heap.
-        """
-        self.sim.at(arrival, partial(self._receive, msg))
+        self._schedule_arrival(arrival, partial(self._receive, msg))
 
     def _receive(self, msg: Message) -> None:
         """``msg`` arrived at its destination's receive queue.
@@ -172,7 +195,8 @@ class Fabric:
         deliver = rx_start + msg.size_flits
         rx_free[dst] = deliver
         msg.delivered_at = deliver
-        sim.at(deliver, partial(self._deliver, msg))
+        self._deliveries += 1
+        sim.at(deliver, partial(self._receivers[dst], msg))
         if self.obs is not None:
             self._notify(msg)
 
@@ -200,10 +224,3 @@ class Fabric:
     def rx_backlog(self, node: int, now: int) -> int:
         """Cycles of queued work at ``node``'s receive endpoint."""
         return max(0, self._rx_free[node] - now)
-
-    def _deliver(self, msg: Message) -> None:
-        receiver: Optional[Receiver] = self._receivers.get(msg.dst)
-        if receiver is None:
-            raise RuntimeError(f"no receiver attached at node {msg.dst}")
-        self.messages_delivered += 1
-        receiver(msg)

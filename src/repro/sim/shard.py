@@ -8,10 +8,11 @@ same cycle counts, same :class:`~repro.sim.stats.RunStats` digest, same
 attribution artifacts — because nothing about the simulation's logical
 order depends on the partitioning:
 
-- Event keys are ``(time, owner, seq)`` with per-owner sequence
-  counters (:mod:`repro.sim.engine`).  A shard that owns a node
-  allocates exactly the sequence numbers the serial engine would have
-  allocated for it, so keys are reproducible shard-locally.
+- Event keys are ``(time, owner, seq)``, and ``seq`` only breaks ties
+  within one owner (:mod:`repro.sim.engine`).  Every key naming a node
+  is allocated in the shard that owns it, in the serial engine's
+  relative order, so any two of its keys compare exactly as they do
+  serially.
 - A cross-shard message carries the key its sender allocated; the
   destination shard inserts it verbatim (:meth:`Simulator.post`), so
   the event sorts precisely where the serial heap would have put it.
@@ -127,14 +128,15 @@ def _shard_worker(conn, shard_id: int, n_shards: int, owned: List[int],
         post = sim.post
         alloc = sim.alloc_seq
 
-        def schedule_arrival(msg, arrival: int) -> None:
-            # Burn the sender-side sequence number exactly as the
-            # serial fabric's sim.at() would, then either queue the
-            # arrival locally or ship (key, message) to the owner.
+        def schedule_arrival(arrival: int, fn) -> None:
+            # Allocate the sender-side key exactly as the serial
+            # fabric's sim.at() would, then either queue the arrival
+            # locally or ship (key, message) to the owner.
             owner = sim.current_owner
-            seq = alloc(owner)
+            seq = alloc()
+            msg = fn.args[0]
             if owned_mask[msg.dst]:
-                post(arrival, owner, seq, partial(receive, msg))
+                post(arrival, owner, seq, fn)
             else:
                 outbox.append((arrival, owner, seq, msg))
 
@@ -355,7 +357,7 @@ def _merge_results(machine: "Machine", results: List[Dict],
         machine.seq_ifetches += result["seq"][2]
         for block, members in result["worker_sets"].items():
             machine._worker_sets.setdefault(block, set()).update(members)
-        machine.fabric.messages_delivered += result["fabric"][0]
+        machine.fabric._deliveries += result["fabric"][0]
         machine.fabric.flits_carried += result["fabric"][1]
         machine.barrier.barriers_completed += result["barriers"]
 

@@ -1,5 +1,7 @@
 """Tests for the deterministic discrete-event engine."""
 
+import heapq
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -48,21 +50,30 @@ class TestScheduling:
 
     def test_rejected_schedule_burns_no_sequence_number(self):
         """Validation precedes the tie-break counter: a past-time at()
-        that raises must not shift the FIFO order of later same-cycle
-        events (a caller catching and retrying would otherwise perturb
-        bit-for-bit reproducibility)."""
-        sim = Simulator()
-        order = []
-        sim.at(10, lambda: None)
-        sim.run()
-        seq_before = sim._owner_seq.get(sim.current_owner, 0)
-        sim.at(20, lambda: order.append("a"))
-        with pytest.raises(SimulationError):
-            sim.at(5, lambda: order.append("never"))
-        assert sim._owner_seq[sim.current_owner] == seq_before + 1
-        sim.at(20, lambda: order.append("b"))
-        sim.run()
-        assert order == ["a", "b"]
+        or a negative after() that raises must not shift the order of
+        later same-cycle events, locally scheduled or posted under a
+        pre-allocated key (a caller catching and retrying would
+        otherwise perturb bit-for-bit reproducibility)."""
+        def trace(reject):
+            sim = Simulator()
+            order = []
+            sim.at(10, lambda: None)
+            sim.run()
+            sim.at(20, lambda: order.append("a"))
+            if reject:
+                with pytest.raises(SimulationError):
+                    sim.at(5, lambda: order.append("never"))
+                with pytest.raises(SimulationError):
+                    sim.after(-1, lambda: order.append("never"))
+            seq = sim.alloc_seq()
+            sim.at(20, lambda: order.append("b"))
+            sim.post(20, sim.current_owner, seq,
+                     lambda: order.append("posted"))
+            sim.run()
+            return order
+
+        assert trace(reject=True) == trace(reject=False) == [
+            "a", "posted", "b"]
 
 
 class TestOwnerKeys:
@@ -95,7 +106,7 @@ class TestOwnerKeys:
         # receives the key via post(); both must order identically.
         a, b = Simulator(), Simulator()
         out_a, out_b = [], []
-        seq = a.alloc_seq(5)
+        seq = a.alloc_seq()
         a.post(4, 5, seq, lambda: out_a.append("x"))
         a.at(4, lambda: out_a.append("y"), owner=6)
         b.at(4, lambda: out_b.append("x"), owner=5)
@@ -105,9 +116,14 @@ class TestOwnerKeys:
         assert out_a == out_b == ["x", "y"]
 
     def test_post_does_not_advance_local_counter(self):
+        # A posted key was allocated elsewhere; had post() advanced the
+        # local counter past it, the local event would sort after it.
         sim = Simulator()
-        sim.post(1, 9, 17, lambda: None)
-        assert sim._owner_seq.get(9, 0) == 0
+        order = []
+        sim.post(1, 9, 17, lambda: order.append("posted"))
+        sim.at(1, lambda: order.append("local"), owner=9)
+        sim.run()
+        assert order == ["local", "posted"]
 
     def test_post_in_past_rejected(self):
         sim = Simulator()
@@ -166,6 +182,23 @@ class TestRunControl:
         assert sim.pending_events == 1
         sim.run()
         assert fired == [5, 50]
+
+    def test_until_before_now_rejected(self):
+        # The clock never runs backwards: after running to cycle 10, a
+        # run(until=5) must not rewind `now` and so let an event at 7
+        # fire after cycle 10 already ran.
+        sim = Simulator()
+        fired = []
+        sim.at(10, lambda: fired.append(10))
+        sim.at(12, lambda: fired.append(12))
+        sim.run(until=10)
+        with pytest.raises(SimulationError):
+            sim.run(until=5)
+        assert sim.now == 10
+        with pytest.raises(SimulationError):
+            sim.at(7, lambda: fired.append(7))
+        sim.run()
+        assert fired == [10, 12]
 
     def test_stop(self):
         sim = Simulator()
@@ -243,3 +276,128 @@ class TestDeterminism:
             sim.at(t, lambda: seen.append(sim.now))
         sim.run()
         assert seen == sorted(seen)
+
+
+class ReferenceHeap:
+    """The engine's ordering with per-owner tie-break counters.
+
+    Kept as the executable definition of the firing order the engine
+    must reproduce with its single process-wide counter.
+    """
+
+    def __init__(self):
+        self.now = 0
+        self.current_owner = 0
+        self._owner_seq = {}
+        self._heap = []
+
+    def alloc_seq(self, owner):
+        seq = self._owner_seq.get(owner, 0) + 1
+        self._owner_seq[owner] = seq
+        return seq
+
+    def at(self, time, fn, owner=None):
+        if time < self.now:
+            raise SimulationError("past")
+        if owner is None:
+            owner = self.current_owner
+        heapq.heappush(self._heap, (time, owner, self.alloc_seq(owner), fn))
+
+    def after(self, delay, fn, owner=None):
+        if delay < 0:
+            raise SimulationError("negative delay")
+        self.at(self.now + delay, fn, owner)
+
+    def post(self, time, owner, seq, fn):
+        if time < self.now:
+            raise SimulationError("past")
+        heapq.heappush(self._heap, (time, owner, seq, fn))
+
+    def run(self, until):
+        while self._heap:
+            if self._heap[0][0] > until:
+                self.now = until
+                break
+            self.now, self.current_owner, _, fn = heapq.heappop(self._heap)
+            fn()
+
+    @property
+    def pending_events(self):
+        return len(self._heap)
+
+
+#: Cycles per window of `_firing_order` below; shipped keys arrive
+#: at least this far ahead, as cross-shard messages do.
+WINDOW = 4
+
+OWNERS = st.one_of(st.none(), st.integers(min_value=0, max_value=3))
+
+
+def _actions(children):
+    # (kind, delay, owner or None for "inherit", nested actions)
+    return st.lists(st.tuples(
+        st.sampled_from(["at", "after", "past", "ship"]),
+        st.integers(min_value=0, max_value=5), OWNERS, children),
+        max_size=3)
+
+
+ACTIONS = st.recursive(_actions(st.just([])), _actions, max_leaves=30)
+PROGRAMS = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=12), OWNERS, ACTIONS),
+    min_size=1, max_size=8)
+
+
+def _firing_order(sim, program):
+    """Run ``program`` on ``sim`` and return its firing order.
+
+    Events schedule nested events with at()/after(), attempt rejected
+    past-time schedules, and "ship" events the way the sharded fabric
+    does: allocate the key now, post it at the next window boundary.
+    """
+    order = []
+    outbox = []
+
+    def alloc(owner):
+        if isinstance(sim, ReferenceHeap):
+            return sim.alloc_seq(owner)
+        return sim.alloc_seq()
+
+    def event(label, actions):
+        def fire():
+            order.append((label, sim.now, sim.current_owner))
+            for i, (kind, delay, owner, children) in enumerate(actions):
+                child = event(f"{label}.{i}", children)
+                if kind == "at":
+                    sim.at(sim.now + delay, child, owner)
+                elif kind == "after":
+                    sim.after(delay, child, owner)
+                elif kind == "past":
+                    with pytest.raises(SimulationError):
+                        if sim.now > delay:
+                            sim.at(sim.now - 1 - delay, child, owner)
+                        else:
+                            sim.after(-1 - delay, child, owner)
+                else:
+                    if owner is None:
+                        owner = sim.current_owner
+                    outbox.append((sim.now + WINDOW + delay, owner,
+                                   alloc(owner), child))
+        return fire
+
+    for i, (time, owner, actions) in enumerate(program):
+        sim.at(time, event(str(i), actions), owner)
+    end = 0
+    while sim.pending_events or outbox:
+        end += WINDOW
+        sim.run(until=end)
+        for shipped in outbox:
+            sim.post(*shipped)
+        outbox.clear()
+    return order
+
+
+class TestGlobalCounterEquivalence:
+    @given(PROGRAMS)
+    def test_fires_in_per_owner_counter_order(self, program):
+        expected = _firing_order(ReferenceHeap(), program)
+        assert _firing_order(Simulator(), program) == expected

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.common.errors import ConfigurationError
+from repro.network.detailed import DetailedFabric
 from repro.network.fabric import Fabric, Message
 from repro.network.topology import Mesh
 from repro.sim.engine import Simulator
@@ -184,6 +185,25 @@ class TestFabric:
         assert fabric.flits_carried == 8
         assert fabric.messages_delivered == 2
 
+    def test_delivered_count_excludes_deliveries_beyond_until(self):
+        sim, fabric, inbox = _fabric()
+        near = Message(src=0, dst=1, kind="near", size_flits=2)
+        far = Message(src=0, dst=15, kind="far", size_flits=2)
+        loop = Message(src=2, dst=2, kind="loop", size_flits=2)
+        fabric.send(near)  # tx 0-2, 1 hop, arrives 3, delivered 5
+        fabric.send(far)  # tx 2-4, 6 hops, arrives 10, delivered 12
+        fabric.send(loop, extra_delay=40)  # delivery queued for 41
+        sim.run(until=10)
+        # `far` has arrived and `loop` was sent: both deliveries are
+        # queued beyond the limit, so neither counts yet.
+        assert (far.delivered_at, loop.delivered_at) == (12, 41)
+        assert sim.pending_events == 2
+        assert [m.kind for m in inbox[1]] == ["near"]
+        assert fabric.messages_delivered == 1
+        sim.run()
+        assert fabric.messages_delivered == 3
+        assert [inbox[15], inbox[2]] == [[far], [loop]]
+
     def test_unattached_receiver_raises(self):
         sim = Simulator()
         fabric = Fabric(sim, Mesh(4))
@@ -210,3 +230,36 @@ class TestFabric:
             for m in messages:
                 got.setdefault((m.src, m.dst), []).append(m.kind)
         assert got == expected
+
+
+class TestDetailedDelivery:
+    @given(st.lists(
+        st.tuples(st.integers(min_value=0, max_value=8),  # src
+                  st.integers(min_value=0, max_value=8),  # dst
+                  st.integers(min_value=1, max_value=12),  # size
+                  st.integers(min_value=0, max_value=30)),  # extra delay
+        min_size=1, max_size=40))
+    def test_per_pair_fifo_property(self, sends):
+        sim = Simulator()
+        fabric = DetailedFabric(sim, Mesh(9))
+        received = []
+        for i in range(9):
+            fabric.attach(i, received.append)
+        expected = {}
+        for i, (src, dst, size, extra) in enumerate(sends):
+            fabric.send(Message(src=src, dst=dst, kind=str(i),
+                                size_flits=size), extra_delay=extra)
+            expected.setdefault((src, dst), []).append(str(i))
+        sim.run()
+        got = {}
+        for m in received:
+            got.setdefault((m.src, m.dst), []).append(m.kind)
+        assert got == expected
+        assert fabric.messages_delivered == len(sends)
+
+    def test_unattached_receiver_raises(self):
+        sim = Simulator()
+        fabric = DetailedFabric(sim, Mesh(4))
+        fabric.send(Message(src=0, dst=1, kind="x", size_flits=1))
+        with pytest.raises(RuntimeError):
+            sim.run()
