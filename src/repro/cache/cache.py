@@ -90,12 +90,9 @@ class DirectMappedCache:
     # Lookup / fill
     # ------------------------------------------------------------------
 
-    def set_of(self, block: int) -> int:
-        return block & self._mask
-
     def probe(self, block: int) -> CacheState:
         """State of ``block`` without side effects (victim included)."""
-        entry = self._sets.get(self.set_of(block))
+        entry = self._sets.get(block & self._mask)
         if entry is not None and entry[0] == block:
             return entry[1]
         if self.victim is not None:
@@ -112,7 +109,7 @@ class DirectMappedCache:
         swap is what makes a victim cache effective against ping-pong
         conflicts).
         """
-        idx = self.set_of(block)
+        idx = block & self._mask
         entry = self._sets.get(idx)
         if entry is not None and entry[0] == block:
             return entry[1], False
@@ -132,7 +129,7 @@ class DirectMappedCache:
     def fill(self, block: int, state: CacheState) -> List[Eviction]:
         """Install ``block`` with ``state``; returns lines evicted
         entirely out of the cache system (candidates for write-back)."""
-        idx = self.set_of(block)
+        idx = block & self._mask
         evictions: List[Eviction] = []
         if self.victim is not None and block in self.victim:
             # The line is being re-filled (e.g. upgraded); drop the stale
@@ -158,7 +155,7 @@ class DirectMappedCache:
 
     def invalidate(self, block: int) -> CacheState:
         """Drop ``block``; returns its prior state."""
-        idx = self.set_of(block)
+        idx = block & self._mask
         entry = self._sets.get(idx)
         if entry is not None and entry[0] == block:
             del self._sets[idx]
@@ -171,7 +168,7 @@ class DirectMappedCache:
 
     def downgrade(self, block: int) -> CacheState:
         """Demote ``block`` to READ_ONLY; returns its prior state."""
-        idx = self.set_of(block)
+        idx = block & self._mask
         entry = self._sets.get(idx)
         if entry is not None and entry[0] == block:
             self._sets[idx] = (block, CacheState.READ_ONLY)

@@ -40,14 +40,6 @@ class CacheState(enum.Enum):
     READ_ONLY = "read_only"
     READ_WRITE = "read_write"
 
-    @property
-    def readable(self) -> bool:
-        return self is not CacheState.INVALID
-
-    @property
-    def writable(self) -> bool:
-        return self is CacheState.READ_WRITE
-
 
 class DirState(enum.Enum):
     """Home-side hardware directory states (Alewife CMMU naming).

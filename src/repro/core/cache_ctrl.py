@@ -30,6 +30,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Extra cycles charged when a hit is satisfied by a victim-cache swap.
 VICTIM_HIT_PENALTY = 2
 
+READ_ONLY = CacheState.READ_ONLY
+READ_WRITE = CacheState.READ_WRITE
+WRITE = AccessType.WRITE
+
 
 @dataclasses.dataclass
 class Outstanding:
@@ -54,6 +58,7 @@ class CacheController:
                   if params.victim_cache_enabled else 0)
         self.cache = DirectMappedCache(params.cache_sets, victim)
         self.block_shift = params.block_shift
+        self._hit_latency = params.cache_hit_latency
         self.outstanding: Optional[Outstanding] = None
         self._ifetch_pending = False
 
@@ -62,18 +67,20 @@ class CacheController:
     # ------------------------------------------------------------------
 
     def try_hit(self, access: AccessType, block: int) -> Optional[int]:
-        """Attempt a cache hit; returns the hit latency or None on miss."""
+        """Attempt a cache hit; returns the hit latency or None on miss.
+
+        READ_WRITE satisfies every access; READ_ONLY satisfies any
+        access but a write.
+        """
         stats = self.node.stats
         state, from_victim = self.cache.lookup(block)
-        satisfied = (state.writable if access is AccessType.WRITE
-                     else state.readable)
-        if satisfied:
+        if state is READ_WRITE or (state is READ_ONLY
+                                   and access is not WRITE):
             stats.cache_hits += 1
             if from_victim:
                 stats.victim_hits += 1
-                return (self.node.machine.params.cache_hit_latency
-                        + VICTIM_HIT_PENALTY)
-            return self.node.machine.params.cache_hit_latency
+                return self._hit_latency + VICTIM_HIT_PENALTY
+            return self._hit_latency
         stats.cache_misses += 1
         return None
 

@@ -12,6 +12,9 @@ yielding architectural operations:
 - ``("reduce", id, value)`` — a combining-tree global reduction;
 - ``("checkin", addr)`` — a CICO check-in annotation (Sections 2.5/7).
 
+A malformed op (unknown kind, wrong operand count, or a compute count
+that is not a non-negative ``int``) raises :class:`WorkloadError`.
+
 The processor is a blocking (Sparcle-style) core: one outstanding memory
 transaction, and protocol software pre-empts user code.  Handlers queue
 FIFO on the node's single software context; user compute resumes when the
@@ -29,7 +32,9 @@ grace window so user code can run "unmolested".
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Callable, Iterator, List, Optional
+from functools import partial
+from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List, Optional,
+                    Tuple)
 
 from repro.common.errors import WorkloadError
 from repro.common.types import AccessType, TrapKind
@@ -38,11 +43,14 @@ from repro.obs.events import HandlerSpan, StallSpan, UserSpan
 from repro.sim.stats import HandlerSample
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.machine.machine import CodeRef
     from repro.machine.node import Node
 
 #: Cycles of cheap work folded into a single simulation event.
 BATCH_LIMIT = 48
+
+READ = AccessType.READ
+WRITE = AccessType.WRITE
+IFETCH = AccessType.IFETCH
 
 
 class ProcState(enum.Enum):
@@ -68,9 +76,17 @@ class Processor:
         self.params = node.machine.params
         self.state = ProcState.IDLE
         self._thread: Optional[Iterator[tuple]] = None
-        #: pending micro-operations of the current architectural op
-        self._micro: List[tuple] = []
-        self._gen = 0  # invalidates stale scheduled user events
+        #: the fetches and compute of the code-carrying compute op in
+        #: progress, last first (see :meth:`_step`)
+        self._pending: List[Tuple[str, int]] = []
+        #: this node's fetch entries per code region, built on first use
+        #: and keyed by name (``Machine.register_code`` hands out one
+        #: region per name; a frozen CodeRef hashes all its fields)
+        self._fetches: Dict[str, Tuple[Tuple[str, int], ...]] = {}
+        self._block_shift = self.params.block_shift
+        self._perfect_ifetch = self.params.perfect_ifetch
+        #: bumped to invalidate every user event already scheduled
+        self._gen = 0
         self._compute_started = 0
         self._compute_remaining = 0
         self._stall_started = 0
@@ -112,65 +128,24 @@ class Processor:
 
         return run
 
-    def _invalidate_user_events(self) -> None:
-        self._gen += 1
-
     # ------------------------------------------------------------------
     # User execution
     # ------------------------------------------------------------------
 
-    def _next_micro(self) -> Optional[tuple]:
-        if self._micro:
-            return self._micro.pop(0)
-        assert self._thread is not None
-        try:
-            op = next(self._thread)
-        except StopIteration:
-            return None
-        self._expand(op)
-        if not self._micro:
-            raise WorkloadError(f"workload yielded empty op {op!r}")
-        return self._micro.pop(0)
-
-    def _expand(self, op: tuple) -> None:
-        """Translate an architectural op into micro-ops."""
-        kind = op[0]
-        machine = self.machine
-        if kind == "compute":
-            cycles = op[1]
-            if cycles < 0:
-                raise WorkloadError(f"negative compute {op!r}")
-            code_ref: Optional["CodeRef"] = op[2] if len(op) > 2 else None
-            if code_ref is not None:
-                machine.seq_ifetches += len(code_ref.offsets)
-                if not self.params.perfect_ifetch:
-                    for block in code_ref.blocks(self.node.id):
-                        self._micro.append(("ifetch", block))
-            machine.seq_compute += cycles
-            if cycles:
-                self._micro.append(("compute", cycles))
-            elif not self._micro:
-                self._micro.append(("compute", 0))
-        elif kind in ("read", "write"):
-            machine.seq_mem_ops += 1
-            access = (AccessType.WRITE if kind == "write"
-                      else AccessType.READ)
-            self._micro.append(("access", access, op[1]))
-        elif kind == "barrier":
-            self._micro.append(("barrier",))
-        elif kind == "lock":
-            self._micro.append(("lock", op[1]))
-        elif kind == "unlock":
-            self._micro.append(("unlock", op[1]))
-        elif kind == "reduce":
-            self._micro.append(("reduce", op[1], op[2]))
-        elif kind == "checkin":
-            self._micro.append(("checkin", op[1]))
-        else:
-            raise WorkloadError(f"unknown workload op {op!r}")
+    def _malformed(self, op: object,
+                   why: str = "wrong operand count") -> WorkloadError:
+        return WorkloadError(
+            f"node {self.node.id}: malformed workload op {op!r} ({why})")
 
     def _step(self) -> None:
-        """Run user micro-ops from ``sim.now``, batching cheap work."""
+        """Run user ops from ``sim.now``, batching cheap work.
+
+        Each op pulled from the workload thread is dispatched where it
+        is read.  The one expansion is a code-carrying compute (with
+        ``perfect_ifetch`` off): its instruction-line fetches, then its
+        compute, wait in ``_pending`` in reverse order, so they pop
+        from the end and survive a batch boundary or a fetch miss.
+        """
         now = self.sim.now
         if self.sw_busy_until > now:
             # The software context owns the core; try again when it frees.
@@ -184,85 +159,147 @@ class Processor:
             return
         self.state = ProcState.RUNNING
         acc = 0
-        stats = self.node.stats
+        node = self.node
+        stats = node.stats
+        machine = self.machine
+        try_hit = node.cache_ctrl.try_hit
+        shift = self._block_shift
+        pending = self._pending
         while True:
-            micro = self._next_micro()
-            if micro is None:
-                self._finish(now + acc, acc)
-                return
-            kind = micro[0]
-            if kind == "compute":
-                cycles = micro[1]
-                if cycles <= BATCH_LIMIT - acc:
-                    acc += cycles
+            if pending:
+                kind, arg = pending.pop()
+                if kind == "ifetch":
+                    stats.ifetches += 1
+                    latency = try_hit(IFETCH, arg)
+                    if latency is None:
+                        self._consume(acc)
+                        self._begin_stall(
+                            now + acc, "ifetch",
+                            partial(node.cache_ctrl.start_ifetch_miss, arg,
+                                    self._memory_done), arg)
+                        return
+                    acc += latency
+                elif arg <= BATCH_LIMIT - acc:  # the fetched code's compute
+                    acc += arg
                 else:
                     self._consume(acc)
-                    self._begin_compute(now + acc, cycles)
+                    self._begin_compute(now + acc, arg)
                     return
-            elif kind == "access":
-                _tag, access, addr = micro
-                block = addr >> self.params.block_shift
-                if access is AccessType.WRITE:
-                    stats.stores += 1
-                else:
-                    stats.loads += 1
-                latency = self.node.cache_ctrl.try_hit(access, block)
-                if latency is None:
+            else:
+                try:
+                    op = next(self._thread)
+                except StopIteration:
+                    self._finish(now + acc, acc)
+                    return
+                try:
+                    kind = op[0]
+                except (IndexError, TypeError):
+                    raise self._malformed(op) from None
+                if kind == "read" or kind == "write":
+                    try:
+                        _kind, addr = op
+                    except ValueError:
+                        raise self._malformed(op) from None
+                    machine.seq_mem_ops += 1
+                    if kind == "write":
+                        access = WRITE
+                        stats.stores += 1
+                    else:
+                        access = READ
+                        stats.loads += 1
+                    block = addr >> shift
+                    latency = try_hit(access, block)
+                    if latency is None:
+                        self._consume(acc)
+                        self._begin_miss(now + acc, access, block)
+                        return
+                    acc += latency
+                elif kind == "compute":
+                    if len(op) == 2:
+                        cycles = op[1]
+                        code_ref = None
+                    else:
+                        try:
+                            _kind, cycles, code_ref = op
+                        except ValueError:
+                            raise self._malformed(op) from None
+                    if type(cycles) is not int or cycles < 0:
+                        raise self._malformed(
+                            op, "cycles must be a non-negative int")
+                    if code_ref is not None:
+                        machine.seq_ifetches += len(code_ref.offsets)
+                    machine.seq_compute += cycles
+                    if code_ref is not None and not self._perfect_ifetch:
+                        if cycles:
+                            pending.append(("compute", cycles))
+                        fetches = self._fetches.get(code_ref.name)
+                        if fetches is None:
+                            fetches = self._fetches[code_ref.name] = tuple(
+                                ("ifetch", block) for block in
+                                reversed(code_ref.blocks(node.id)))
+                        pending.extend(fetches)
+                        continue
+                    if cycles <= BATCH_LIMIT - acc:
+                        acc += cycles
+                    else:
+                        self._consume(acc)
+                        self._begin_compute(now + acc, cycles)
+                        return
+                elif kind == "barrier":
+                    if len(op) != 1:
+                        raise self._malformed(op)
                     self._consume(acc)
-                    self._begin_miss(now + acc, access, block)
+                    self.state = ProcState.BARRIER
+                    self._at_or_now(now + acc, partial(
+                        machine.barrier.arrive, node.id))
                     return
-                acc += latency
-            elif kind == "ifetch":
-                block = micro[1]
-                stats.ifetches += 1
-                latency = self.node.cache_ctrl.try_hit(
-                    AccessType.IFETCH, block)
-                if latency is None:
+                elif kind == "lock":
+                    if len(op) != 2:
+                        raise self._malformed(op)
                     self._consume(acc)
-                    self._begin_ifetch_miss(now + acc, block)
+                    self._begin_stall(now + acc, "lock", partial(
+                        machine.locks.acquire, node.id, op[1],
+                        self._memory_done))
                     return
-                acc += latency
-            elif kind == "barrier":
-                self._consume(acc)
-                self._begin_barrier(now + acc)
-                return
-            elif kind == "lock":
-                self._consume(acc)
-                self._begin_lock(now + acc, micro[1])
-                return
-            elif kind == "reduce":
-                self._consume(acc)
-                self._begin_reduce(now + acc, micro[1], micro[2])
-                return
-            elif kind == "checkin":
-                addr = micro[1]
-                block = addr >> self.params.block_shift
-                at = now + acc
-
-                def do_checkin(b=block) -> None:
-                    self.node.cache_ctrl.check_in(b)
-
-                if at > self.sim.now:
-                    self.sim.at(at, do_checkin)
+                elif kind == "reduce":
+                    if len(op) != 3:
+                        raise self._malformed(op)
+                    self._consume(acc)
+                    self._begin_stall(now + acc, "reduce", partial(
+                        machine.reductions.contribute, node.id, op[1],
+                        op[2], self._memory_done))
+                    return
+                # unlock and checkin do not block: unguarded, they fire
+                # even if later user work invalidates the step's events.
+                elif kind == "unlock":
+                    if len(op) != 2:
+                        raise self._malformed(op)
+                    self._at_or_now(now + acc, partial(
+                        machine.locks.release, node.id, op[1]), False)
+                    acc += 2  # compose-and-launch cost
+                elif kind == "checkin":
+                    if len(op) != 2:
+                        raise self._malformed(op)
+                    self._at_or_now(now + acc, partial(
+                        node.cache_ctrl.check_in, op[1] >> shift), False)
+                    acc += 2  # the CICO instruction itself
                 else:
-                    do_checkin()
-                acc += 2  # the CICO instruction itself
-            elif kind == "unlock":
-                lock_id = micro[1]
-                at = now + acc
-
-                def send_release(lid=lock_id, t=at) -> None:
-                    self.machine.locks.release(self.node.id, lid)
-
-                if at > self.sim.now:
-                    self.sim.at(at, send_release)
-                else:
-                    send_release()
-                acc += 2  # compose-and-launch cost
+                    raise WorkloadError(
+                        f"node {node.id}: unknown workload op {op!r}")
             if acc >= BATCH_LIMIT:
                 self._consume(acc)
                 self.sim.at(now + acc, self._guarded(self._step))
                 return
+
+    def _at_or_now(self, at: int, fn: Callable[[], None],
+                   guard: bool = True) -> None:
+        """Run ``fn`` at cycle ``at``, or now if ``at`` is the current
+        cycle.  Scheduled, it is skipped if user events are invalidated
+        first, unless ``guard`` is False."""
+        if at > self.sim.now:
+            self.sim.at(at, self._guarded(fn) if guard else fn)
+        else:
+            fn()
 
     def _consume(self, cycles: int,
                  span_start: Optional[int] = None) -> None:
@@ -288,14 +325,10 @@ class Processor:
         """Schedule a preemptible compute burst starting at ``at``."""
         self.state = ProcState.COMPUTING
         self._compute_remaining = cycles
-
-        def begin() -> None:
-            self._resume_compute()
-
         if at > self.sim.now:
-            self.sim.at(at, self._guarded(begin))
+            self.sim.at(at, self._guarded(self._resume_compute))
         else:
-            begin()
+            self._resume_compute()
 
     def _resume_compute(self) -> None:
         now = self.sim.now
@@ -305,7 +338,7 @@ class Processor:
         self.state = ProcState.COMPUTING
         self._compute_started = now
         remaining = self._compute_remaining
-        self._invalidate_user_events()
+        self._gen += 1
         self.sim.at(now + remaining, self._guarded(self._finish_compute))
 
     def _finish_compute(self) -> None:
@@ -322,50 +355,37 @@ class Processor:
         self._consume(consumed if consumed > 0 else 0,
                       span_start=self._compute_started)
         self._compute_remaining -= consumed
-        self._invalidate_user_events()
+        self._gen += 1
         self.state = ProcState.PREEMPTED
 
     # ------------------------------------------------------------------
-    # Memory stalls
+    # Stalls: memory, lock, reduction; barrier
     # ------------------------------------------------------------------
 
-    def _begin_miss(self, at: int, access: AccessType, block: int) -> None:
+    def _begin_stall(self, at: int, kind: str, request: Callable[[], None],
+                     block: Optional[int] = None,
+                     txn: Optional[int] = None) -> None:
+        """Block user code from ``at`` until ``request`` (issued then)
+        completes through :meth:`_memory_done`."""
         self.state = ProcState.STALLED
         self._stall_started = at
-        self._stall_kind = ("write" if access is AccessType.WRITE
-                            else "read")
+        self._stall_kind = kind
         self._stall_block = block
+        self._stall_txn = txn
+        self._at_or_now(at, request)
+
+    def _begin_miss(self, at: int, access: AccessType, block: int) -> None:
         # Every data miss opens a coherence transaction; the id follows
         # the miss through every message/trap/handler it causes.  Ids
         # are allocated from a per-node counter (interleaved modulo
         # n_nodes), so a node's ids depend only on its own deterministic
         # history — identical across runs and across shard counts.
         txn = self.machine.next_txn(self.node.id)
-        self._stall_txn = txn
-
-        def issue() -> None:
-            self.node.cache_ctrl.start_miss(access, block,
-                                            self._memory_done, txn=txn)
-
-        if at > self.sim.now:
-            self.sim.at(at, self._guarded(issue))
-        else:
-            issue()
-
-    def _begin_ifetch_miss(self, at: int, block: int) -> None:
-        self.state = ProcState.STALLED
-        self._stall_started = at
-        self._stall_kind = "ifetch"
-        self._stall_block = block
-        self._stall_txn = None
-
-        def issue() -> None:
-            self.node.cache_ctrl.start_ifetch_miss(block, self._memory_done)
-
-        if at > self.sim.now:
-            self.sim.at(at, self._guarded(issue))
-        else:
-            issue()
+        self._begin_stall(
+            at, "write" if access is WRITE else "read",
+            partial(self.node.cache_ctrl.start_miss, access, block,
+                    self._memory_done, txn),
+            block, txn)
 
     def _memory_done(self) -> None:
         now = self.sim.now
@@ -376,62 +396,14 @@ class Processor:
                                 self._stall_kind, self._stall_block,
                                 self._stall_txn))
         self.state = ProcState.RUNNING
-        self._invalidate_user_events()
+        self._gen += 1
         self._step()
-
-    # ------------------------------------------------------------------
-    # Barrier
-    # ------------------------------------------------------------------
-
-    def _begin_barrier(self, at: int) -> None:
-        self.state = ProcState.BARRIER
-
-        def arrive() -> None:
-            self.machine.barrier.arrive(self.node.id)
-
-        if at > self.sim.now:
-            self.sim.at(at, self._guarded(arrive))
-        else:
-            arrive()
-
-    def _begin_lock(self, at: int, lock_id: int) -> None:
-        self.state = ProcState.STALLED
-        self._stall_started = at
-        self._stall_kind = "lock"
-        self._stall_block = None
-        self._stall_txn = None
-
-        def request() -> None:
-            self.machine.locks.acquire(self.node.id, lock_id,
-                                       self._memory_done)
-
-        if at > self.sim.now:
-            self.sim.at(at, self._guarded(request))
-        else:
-            request()
-
-    def _begin_reduce(self, at: int, reduce_id: int,
-                      value: object) -> None:
-        self.state = ProcState.STALLED
-        self._stall_started = at
-        self._stall_kind = "reduce"
-        self._stall_block = None
-        self._stall_txn = None
-
-        def contribute() -> None:
-            self.machine.reductions.contribute(
-                self.node.id, reduce_id, value, self._memory_done)
-
-        if at > self.sim.now:
-            self.sim.at(at, self._guarded(contribute))
-        else:
-            contribute()
 
     def barrier_release(self) -> None:
         if self.state is not ProcState.BARRIER:
             return
         self.state = ProcState.RUNNING
-        self._invalidate_user_events()
+        self._gen += 1
         self._step()
 
     # ------------------------------------------------------------------
@@ -500,10 +472,10 @@ class Processor:
                 self._resume_compute()
             else:
                 self.state = ProcState.RUNNING
-                self._invalidate_user_events()
+                self._gen += 1
                 self._step()
         elif self.state is ProcState.WAIT_SW:
-            self._invalidate_user_events()
+            self._gen += 1
             self._step()
 
 

@@ -4,9 +4,16 @@ A workload is an SPMD program: :meth:`Workload.setup` allocates shared
 structures on the machine's heap, then :meth:`Workload.thread` returns a
 generator of architectural operations for each node:
 
-- ``("compute", cycles)`` / ``("compute", cycles, code_ref)``
-- ``("read", addr)`` / ``("write", addr)``
-- ``("barrier",)``
+- ``("compute", cycles)`` / ``("compute", cycles, code_ref)``, with
+  ``cycles`` a non-negative ``int``;
+- ``("read", addr)`` / ``("write", addr)``;
+- ``("barrier",)``;
+- ``("lock", id)`` / ``("unlock", id)``, ``("reduce", id, value)`` and
+  ``("checkin", addr)`` (see :mod:`repro.machine.processor`).
+
+An op of an unknown kind, with the wrong number of operands, or with a
+compute count that is not a non-negative ``int`` raises
+:class:`~repro.common.errors.WorkloadError` naming the op and the node.
 
 Workloads compute *real* results (a tour length, an integral, a relaxed
 grid) so tests can check correctness, and they must be deterministic:

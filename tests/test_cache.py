@@ -5,11 +5,55 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.cache.cache import DirectMappedCache, VictimCache
-from repro.common.types import CacheState
+from repro.common.types import AccessType, CacheState
+from repro.core.cache_ctrl import VICTIM_HIT_PENALTY
+from repro.machine.machine import Machine
+from repro.machine.params import MachineParams
 
 RO = CacheState.READ_ONLY
 RW = CacheState.READ_WRITE
 INV = CacheState.INVALID
+
+
+class TestTryHitDecisionTable:
+    """``CacheController.try_hit`` for every line state, access kind and
+    place the line is found: the latency returned and the counter
+    deltas.  READ_WRITE satisfies every access; READ_ONLY every access
+    but a write; INVALID none."""
+
+    SATISFIED = {
+        (RO, AccessType.READ), (RO, AccessType.IFETCH),
+        (RW, AccessType.READ), (RW, AccessType.WRITE),
+        (RW, AccessType.IFETCH),
+    }
+
+    @pytest.mark.parametrize("where", ["main", "victim"])
+    @pytest.mark.parametrize("access", list(AccessType), ids=str)
+    @pytest.mark.parametrize("state", [INV, RO, RW], ids=str)
+    def test_decision(self, state, access, where):
+        m = Machine(MachineParams(n_nodes=4, victim_cache_enabled=True))
+        ctrl = m.nodes[1].cache_ctrl
+        block = 12345
+        if state is not INV:
+            ctrl.cache.fill(block, state)
+        if where == "victim":
+            # A conflicting fill pushes the line into the victim buffer.
+            ctrl.cache.fill(block + ctrl.cache.n_sets, RO)
+        stats = ctrl.node.stats
+        before = (stats.cache_hits, stats.victim_hits, stats.cache_misses)
+        latency = ctrl.try_hit(access, block)
+        after = (stats.cache_hits, stats.victim_hits, stats.cache_misses)
+        deltas = tuple(b - a for a, b in zip(before, after))
+        hit = m.params.cache_hit_latency
+        if (state, access) not in self.SATISFIED:
+            assert latency is None
+            assert deltas == (0, 0, 1)
+        elif where == "victim":
+            assert latency == hit + VICTIM_HIT_PENALTY
+            assert deltas == (1, 1, 0)
+        else:
+            assert latency == hit
+            assert deltas == (1, 0, 0)
 
 
 class TestDirectMapped:

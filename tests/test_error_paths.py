@@ -3,12 +3,13 @@ silently — the simulator is deterministic, so every failure replays."""
 
 import pytest
 
-from repro.common.errors import ProtocolStateError
+from repro.common.errors import ProtocolStateError, WorkloadError
 from repro.common.types import AccessType, CacheState
 from repro.core.messages import ProtoPayload
 from repro.machine.machine import Machine
 from repro.machine.params import MachineParams
 from repro.network.fabric import Message
+from repro.workloads.base import Workload
 
 
 def machine(n=4, protocol="DirnH2SNB"):
@@ -121,3 +122,59 @@ class TestNodeDispatch:
         m = machine()
         with pytest.raises(ProtocolStateError):
             m.nodes[0].receive(fake("gibberish", 1, 0, 5))
+
+
+class _OneOp(Workload):
+    """Node 2 yields a single op; the other nodes yield nothing."""
+
+    name = "one-op"
+
+    def __init__(self, op) -> None:
+        self.op = op
+
+    def setup(self, machine) -> None:  # noqa: D102 - no shared data
+        pass
+
+    def thread(self, machine, node_id):
+        if node_id == 2:
+            yield self.op
+
+
+class TestMalformedWorkloadOps:
+    """A malformed op raises WorkloadError naming the op and the node,
+    never a bare IndexError from inside the processor, and never runs."""
+
+    @pytest.mark.parametrize("op", [
+        (),
+        ("read",),
+        ("write", 64, 0),
+        ("compute",),
+        ("compute", 5, None, "extra"),
+        ("reduce", 1),
+        ("barrier", 0),
+        ("lock",),
+        ("unlock", 1, 2),
+        ("checkin",),
+    ], ids=repr)
+    def test_wrong_arity_raises(self, op):
+        with pytest.raises(WorkloadError, match=r"node 2: malformed "
+                                                r"workload op"):
+            machine().run(_OneOp(op))
+
+    # ("compute", 2.5) used to run, and run_cycles came back as 2.5.
+    @pytest.mark.parametrize("cycles", [2.5, -1, True, "10", None],
+                             ids=repr)
+    def test_compute_count_must_be_a_nonnegative_int(self, cycles):
+        with pytest.raises(WorkloadError, match=r"node 2: .*compute.*"
+                                                r"non-negative int"):
+            machine().run(_OneOp(("compute", cycles)))
+
+    @pytest.mark.parametrize("op", [("ifetch", 3), ("jump", 4), None],
+                             ids=repr)
+    def test_unknown_op_raises(self, op):
+        with pytest.raises(WorkloadError, match=r"node 2: "):
+            machine().run(_OneOp(op))
+
+    def test_compute_with_no_code_ref_runs(self):
+        stats = machine().run(_OneOp(("compute", 3, None)))
+        assert stats.run_cycles == 3

@@ -1,7 +1,7 @@
 """Processor timing: preemption accounting, batching, stalls, and the
 interaction between user code and the protocol software context."""
 
-from repro.common.types import TrapKind
+from repro.common.types import CacheState, TrapKind
 from repro.core.software.costmodel import CostModel
 from repro.machine.machine import Machine
 from repro.machine.params import MachineParams
@@ -135,3 +135,48 @@ class TestWatchdogTiming:
         assert stats.per_node[0].watchdog_activations > 0
         # The user finished despite the storm.
         assert stats.per_node[0].user_cycles == 2000
+
+
+class TestNonBlockingOpsSurvivePreemption:
+    """An unlock or check-in launched mid-step fires at its cycle even if
+    a handler pre-empts the compute that follows it in the same step
+    (which invalidates the step's other scheduled user events)."""
+
+    def test_checkin_fires_through_preemption(self):
+        m = machine()
+        addr = m.heap.alloc_block(1)
+        block = addr >> m.params.block_shift
+        m.nodes[0].cache_ctrl.cache.fill(block, CacheState.READ_ONLY)
+        # The step at cycle 0 launches the check-in for cycle 10 and
+        # the compute for cycle 12; the trap at 5 lands in between.
+        m.sim.at(5, lambda: post_dummy_trap(m, 0))
+        stats = m.run(ScriptWorkload(
+            {0: [("compute", 10), ("checkin", addr), ("compute", 500)]}))
+        assert stats.per_node[0].messages_sent["relinq"] == 1
+        assert m.nodes[0].cache_ctrl.state_of(block) is CacheState.INVALID
+
+    def test_unlock_fires_through_preemption(self):
+        def run(trap_at=None):
+            m = machine()
+            lock = m.create_lock(home=0)
+            released = []
+            release = m.locks.release
+
+            def spy(node_id, lock_id):
+                released.append(m.sim.now)
+                release(node_id, lock_id)
+
+            m.locks.release = spy
+            if trap_at is not None:
+                m.sim.at(trap_at, lambda: post_dummy_trap(m, 0))
+            m.run(ScriptWorkload({
+                0: [("lock", lock), ("compute", 10), ("unlock", lock),
+                    ("compute", 500)],
+                1: [("compute", 2000), ("lock", lock), ("unlock", lock)],
+            }))
+            return released
+
+        first = run()
+        # Pre-empt node 0 between launching the unlock and its firing;
+        # node 1 would deadlock on the lock if the unlock were dropped.
+        assert run(trap_at=first[0] - 5)[0] == first[0]
