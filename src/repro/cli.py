@@ -116,24 +116,6 @@ def _duration(text: str) -> float:
     return value
 
 
-def _add_shards_arg(parser: argparse.ArgumentParser) -> None:
-    """``--shards``: parallel-in-time execution (repro.sim.shard).
-
-    Byte-identical to the serial engine (gated by the sharded
-    equivalence tests and the CI ``sharded-equivalence`` job), so like
-    ``--dispatch`` it is an execution knob: never part of
-    :class:`MachineParams` or experiment cache keys.  Default ``None``
-    defers to the ``REPRO_SHARDS`` environment variable, then to 1
-    (serial).
-    """
-    parser.add_argument(
-        "--shards", default=None, metavar="N|auto",
-        help="split the simulated nodes across N worker processes "
-             "advancing in conservative time windows ('auto' = one "
-             "per CPU); results are byte-identical to --shards 1",
-    )
-
-
 def _add_dispatch_arg(parser: argparse.ArgumentParser) -> None:
     """``--dispatch``: protocol-engine execution mode.
 
@@ -180,13 +162,11 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--sample-every", type=_nonneg_int, default=10_000,
                      metavar="CYCLES",
                      help="interval of the metrics time-series sampler "
-                          "(0 disables it — required with --shards > 1, "
-                          "where no single process sees the clock tick)")
+                          "(0 disables it)")
     run.add_argument("--check-invariants", action="store_true",
                      help="run under the continuous protocol invariant "
                           "checker; exit 1 on any violation")
     _add_dispatch_arg(run)
-    _add_shards_arg(run)
     run.add_argument("--progress", action="store_true",
                      help="live progress line on stderr (sim-cycle "
                           "heartbeat; never changes results)")
@@ -264,7 +244,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                   "as repro-fleetlog/1 JSONL (summarize "
                                   "later with 'repro status FILE')")
     _add_dispatch_arg(experiments)
-    _add_shards_arg(experiments)
     experiments.add_argument("--prom-out", metavar="FILE", default=None,
                              help="write a Prometheus text-format "
                                   "snapshot of the final sweep status")
@@ -302,7 +281,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="also print the span tree of transaction "
                               "TXN (stderr)")
     _add_dispatch_arg(analyze)
-    _add_shards_arg(analyze)
 
     diff = sub.add_parser(
         "diff",
@@ -398,7 +376,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="simulated cycles between job_progress "
                             "heartbeats")
     _add_dispatch_arg(serve)
-    _add_shards_arg(serve)
 
     check = sub.add_parser(
         "check",
@@ -416,8 +393,7 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--flow", action="store_true",
                        help="dataflow analyses: translation "
                             "validation of compiled dispatch, "
-                            "shard-safety inference, taint-based "
-                            "determinism lint")
+                            "taint-based determinism lint")
     check.add_argument("--quick", action="store_true",
                        help="model-check only the two-node "
                             "configurations (seconds instead of "
@@ -460,8 +436,7 @@ def _machine_from(args: argparse.Namespace) -> Machine:
     return Machine(params, protocol=args.protocol,
                    software=args.software,
                    invalidation_mode=args.invalidation_mode,
-                   dispatch=args.dispatch,
-                   shards=getattr(args, "shards", None))
+                   dispatch=args.dispatch)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -474,22 +449,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.trace_out:
         collector = TraceCollector.attach(machine)
     if args.metrics_out:
-        # The time-series sampler rides the global clock (on_advance),
-        # which no single process sees under --shards; every other
-        # observer below works from replayable per-event channels.
         if args.sample_every:
             sampler = IntervalSampler.attach(machine,
                                              every=args.sample_every)
         recorder = LatencyRecorder.attach(machine)
     if args.check_invariants:
-        if machine.shards > 1:
-            # The checker cross-examines live directory and cache state
-            # as each event fires; replaying the merged event stream
-            # against the (never-mutated) parent machine would check
-            # nothing.  Refuse rather than silently pass.
-            print("error: --check-invariants inspects live machine "
-                  "state and needs --shards 1", file=sys.stderr)
-            return 2
         checker = InvariantChecker.attach(machine)
     if args.progress:
         progress = RunProgress.attach(
@@ -787,7 +751,6 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
             attribution=args.attribution,
             telemetry=monitor,
             dispatch=args.dispatch,
-            shards=args.shards,
         )
     except (ValueError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -930,7 +893,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             telemetry=monitor,
             heartbeat_every=args.heartbeat_every,
             dispatch=args.dispatch,
-            shards=args.shards,
         )
     except (ValueError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,7 +2,6 @@
 
 from repro.core.cache_ctrl import CacheController
 from repro.core.directory import DirectoryEntry
-from repro.core.home import HardwareHomeController, SoftwareOnlyHomeController
 from repro.core.spec import (
     ALEWIFE_SUPPORTED,
     PAPER_SPECTRUM,
@@ -17,10 +16,8 @@ __all__ = [
     "AckMode",
     "CacheController",
     "DirectoryEntry",
-    "HardwareHomeController",
     "PAPER_SPECTRUM",
     "ProtocolSpec",
-    "SoftwareOnlyHomeController",
     "hardware_pointer_label",
     "spec_of",
 ]

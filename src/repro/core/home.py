@@ -1,76 +1,7 @@
-"""Home-node protocol controllers (compatibility facade).
+"""Empty module, kept only for the benchmark harness.
 
-The controllers that used to live here were refactored into the
-declarative protocol core: transition tables in
-:mod:`repro.core.protocol.table`, guard/action implementations in
-:mod:`repro.core.protocol.backends`, and the single table-driven
-executor in :mod:`repro.core.protocol.engine`.  This module keeps the
-historical entry points working:
-
-- :func:`HardwareHomeController` — the CMMU's hardware directory for
-  the full-map and limited-pointer protocols; overflows and extended
-  writes are delegated to
-  :class:`~repro.core.software.handlers.ProtocolSoftware`.
-- :func:`SoftwareOnlyHomeController` — the ``DirnH0SNB,ACK``
-  software-only directory (Section 2.3): one remote-access bit per
-  block in hardware, all inter-node protocol state transitions in
-  software.
-
-Both answer requests racing an in-flight transaction with BUSY
-messages; requesters retry with deterministic backoff.  That is
-Alewife's livelock-free forward-progress mechanism.
+The benchmark's module-to-layer map (``RULES`` in ``bench/layers.py``)
+still names this module path, and the harness's own test requires
+every path it names to exist.  No code lives here and nothing imports
+it.  Delete this file together with that ``RULES`` entry.
 """
-
-from __future__ import annotations
-
-from typing import TYPE_CHECKING, Optional
-
-from repro.core.protocol.backends import (  # noqa: F401  (re-exports)
-    DIR_LATENCY,
-    HW_INV_SPACING,
-    MIGRATORY_THRESHOLD,
-    FullMapBackend,
-    LimitedPointerBackend,
-    SoftwareOnlyBackend,
-)
-from repro.core.protocol.engine import HomeProtocolEngine
-from repro.core.spec import ProtocolSpec
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.software.interface import CoherenceInterface
-    from repro.machine.node import Node
-
-__all__ = [
-    "DIR_LATENCY",
-    "HW_INV_SPACING",
-    "MIGRATORY_THRESHOLD",
-    "HardwareHomeController",
-    "SoftwareOnlyHomeController",
-]
-
-
-def HardwareHomeController(node: "Node", spec: ProtocolSpec,
-                           interface: Optional["CoherenceInterface"]
-                           ) -> HomeProtocolEngine:
-    """Hardware directory + software extension for one node's memory.
-
-    Builds a :class:`~repro.core.protocol.engine.HomeProtocolEngine`
-    over a :class:`~repro.core.protocol.backends.FullMapBackend` or
-    :class:`~repro.core.protocol.backends.LimitedPointerBackend`
-    according to ``spec``.
-    """
-    backend_cls = FullMapBackend if spec.full_map else LimitedPointerBackend
-    return HomeProtocolEngine(node, spec, backend_cls(node, spec, interface))
-
-
-def SoftwareOnlyHomeController(node: "Node", spec: ProtocolSpec,
-                               interface: "CoherenceInterface"
-                               ) -> HomeProtocolEngine:
-    """The ``DirnH0SNB,ACK`` software-only home directory.
-
-    Builds a :class:`~repro.core.protocol.engine.HomeProtocolEngine`
-    over a :class:`~repro.core.protocol.backends.SoftwareOnlyBackend`.
-    """
-    return HomeProtocolEngine(
-        node, spec, SoftwareOnlyBackend(node, spec, interface)
-    )

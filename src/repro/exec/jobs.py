@@ -162,8 +162,7 @@ def job_key(job: SimJob) -> str:
 
 def execute_job(job: SimJob, check_invariants: bool = False,
                 telemetry: Optional["FleetTelemetry"] = None,
-                dispatch: Optional[str] = None,
-                shards: "int | str | None" = None) -> RunStats:
+                dispatch: Optional[str] = None) -> RunStats:
     """Run one job to completion on a fresh machine.
 
     Module-level (not a closure) so worker processes can unpickle and
@@ -173,14 +172,11 @@ def execute_job(job: SimJob, check_invariants: bool = False,
     identical either way) and any violation raises
     :class:`~repro.core.protocol.invariants.InvariantViolation`.
 
-    ``check_invariants``, ``telemetry``, ``dispatch``, and ``shards``
-    are execution-mode knobs, not part of the job spec, so they never
+    ``check_invariants``, ``telemetry`` and ``dispatch`` are
+    execution-mode knobs, not part of the job spec, so they never
     change a job's cache key (``dispatch`` selects the protocol
-    engine's execution strategy — compiled or interpreted — and
-    ``shards`` the parallel-in-time shard count; both are
-    cycle-identical by the equivalence gates).  ``check_invariants``
-    needs to observe every event in one process, so it refuses to
-    combine with ``shards > 1``.
+    engine's execution strategy — compiled or interpreted — and is
+    cycle-identical by the equivalence gate).
     A :class:`~repro.obs.fleet.FleetTelemetry` streams job lifecycle
     events (started / sim-cycle heartbeats / finished with wall time
     and peak RSS) to the parent; like every observer it reads state and
@@ -195,17 +191,9 @@ def execute_job(job: SimJob, check_invariants: bool = False,
         track_worker_sets=job.track_worker_sets,
         invalidation_mode=job.invalidation_mode,
         dispatch=dispatch,
-        shards=shards,
     )
     checker = None
     if check_invariants:
-        if machine.shards > 1:
-            from repro.common.errors import ConfigurationError
-
-            raise ConfigurationError(
-                "--check-invariants inspects directory and cache state "
-                "in one process; run it with --shards 1"
-            )
         from repro.core.protocol.invariants import InvariantChecker
 
         checker = InvariantChecker.attach(machine)
@@ -220,14 +208,7 @@ def execute_job(job: SimJob, check_invariants: bool = False,
         telemetry.job_started(key, workload=job.workload_cls.__name__,
                               protocol=job.protocol,
                               n_nodes=job.params.n_nodes)
-        from repro.sim.shard import sharding_available
-
-        if machine.shards > 1 and sharding_available():
-            # A sharded run cannot drive 'advance' subscribers; the
-            # coordinator streams per-shard heartbeats instead.
-            telemetry.watch_shards(machine, key)
-        else:
-            telemetry.watch(machine, key)
+        telemetry.watch(machine, key)
     try:
         stats = machine.run(job.build_workload())
     except BaseException as exc:

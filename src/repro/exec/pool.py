@@ -45,7 +45,6 @@ from typing import (
 
 from repro.exec.cache import ResultCache
 from repro.exec.jobs import SimJob, execute_job, job_key
-from repro.machine.params import resolve_shards
 from repro.sim.stats import RunStats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -156,8 +155,7 @@ class JobRunner:
                  attribution: bool = False,
                  telemetry: Optional["FleetMonitor"] = None,
                  heartbeat_every: Optional[int] = None,
-                 dispatch: Optional[str] = None,
-                 shards: "int | str | None" = None) -> None:
+                 dispatch: Optional[str] = None) -> None:
         self.n_workers = resolve_jobs(jobs)
         self.cache = cache
         self.check_invariants = check_invariants
@@ -166,11 +164,6 @@ class JobRunner:
         #: execution knob like check_invariants: cycle-identical, so it
         #: never enters cache keys and cached results stay valid.
         self.dispatch = dispatch
-        #: parallel-in-time shard count per job, resolved against the
-        #: worker count so jobs x shards never oversubscribes the
-        #: machine (repro.machine.params.resolve_shards).  Like
-        #: dispatch: byte-identical results, never in cache keys.
-        self.shards = resolve_shards(shards, jobs=self.n_workers)
         self.attribution = attribution
         self.telemetry = telemetry
         if heartbeat_every is None:
@@ -256,7 +249,7 @@ class JobRunner:
         return {
             key: execute_job(job, check_invariants=self.check_invariants,
                              telemetry=worker_telemetry,
-                             dispatch=self.dispatch, shards=self.shards)
+                             dispatch=self.dispatch)
             for key, job in pending.items()
         }
 
@@ -273,7 +266,7 @@ class JobRunner:
                 futures = {
                     key: executor.submit(execute_job, pending[key],
                                          self.check_invariants,
-                                         None, self.dispatch, self.shards)
+                                         None, self.dispatch)
                     for key in keys
                 }
                 # Collect in plan order; completion order is irrelevant
@@ -313,7 +306,7 @@ class JobRunner:
                         key: executor.submit(_execute_job_in_worker,
                                              pending[key],
                                              self.check_invariants,
-                                             self.dispatch, self.shards)
+                                             self.dispatch)
                         for key in keys
                     }
                     return {key: futures[key].result() for key in keys}
@@ -335,8 +328,7 @@ def _init_worker_telemetry(queue, heartbeat_every) -> None:
 
 
 def _execute_job_in_worker(job: SimJob, check_invariants: bool,
-                           dispatch: Optional[str] = None,
-                           shards: "int | None" = None) -> RunStats:
+                           dispatch: Optional[str] = None) -> RunStats:
     """Worker-process entry point: execute_job + telemetry, if wired."""
     telemetry = None
     if _WORKER_TELEMETRY_QUEUE is not None:
@@ -346,13 +338,11 @@ def _execute_job_in_worker(job: SimJob, check_invariants: bool,
             _WORKER_TELEMETRY_QUEUE.put,
             heartbeat_every=_WORKER_HEARTBEAT_EVERY or DEFAULT_HEARTBEAT)
     return execute_job(job, check_invariants=check_invariants,
-                       telemetry=telemetry, dispatch=dispatch,
-                       shards=shards)
+                       telemetry=telemetry, dispatch=dispatch)
 
 
 def _execute_with_monitor(job: SimJob, monitor, heartbeat_every: int,
-                          dispatch: Optional[str],
-                          shards: "int | None") -> RunStats:
+                          dispatch: Optional[str]) -> RunStats:
     """In-process execution with telemetry delivered straight to the
     monitor (thread-pool farms; mirrors JobRunner's serial path)."""
     from repro.obs.fleet import FleetTelemetry
@@ -360,7 +350,7 @@ def _execute_with_monitor(job: SimJob, monitor, heartbeat_every: int,
     telemetry = FleetTelemetry(monitor.handle,
                                heartbeat_every=heartbeat_every)
     return execute_job(job, check_invariants=False, telemetry=telemetry,
-                       dispatch=dispatch, shards=shards)
+                       dispatch=dispatch)
 
 
 class Submission(NamedTuple):
@@ -411,7 +401,6 @@ class FarmExecutor:
                  telemetry: Optional["FleetMonitor"] = None,
                  heartbeat_every: Optional[int] = None,
                  dispatch: Optional[str] = None,
-                 shards: "int | str | None" = None,
                  worker_pool: str = "process") -> None:
         import threading
 
@@ -424,7 +413,6 @@ class FarmExecutor:
         self.attribution = attribution
         self.telemetry = telemetry
         self.dispatch = dispatch
-        self.shards = resolve_shards(shards, jobs=self.n_workers)
         self.worker_pool = worker_pool
         if heartbeat_every is None:
             from repro.obs.fleet import DEFAULT_HEARTBEAT
@@ -508,14 +496,13 @@ class FarmExecutor:
             if self.telemetry is not None:
                 return pool.submit(_execute_with_monitor, job,
                                    self.telemetry, self.heartbeat_every,
-                                   self.dispatch, self.shards)
+                                   self.dispatch)
             return pool.submit(execute_job, job, False, None,
-                               self.dispatch, self.shards)
+                               self.dispatch)
         if self._queue is not None:
             return pool.submit(_execute_job_in_worker, job, False,
-                               self.dispatch, self.shards)
-        return pool.submit(execute_job, job, False, None,
-                           self.dispatch, self.shards)
+                               self.dispatch)
+        return pool.submit(execute_job, job, False, None, self.dispatch)
 
     # ------------------------------------------------------------------
     # Submission

@@ -32,11 +32,7 @@ from repro.machine.barrier import BarrierManager
 from repro.machine.heap import SharedHeap
 from repro.machine.sync import LockManager, ReductionManager
 from repro.machine.node import Node
-from repro.machine.params import (
-    MachineParams,
-    resolve_dispatch,
-    resolve_shards,
-)
+from repro.machine.params import MachineParams, resolve_dispatch
 from repro.network.detailed import DetailedFabric
 from repro.network.fabric import Fabric
 from repro.network.topology import Mesh
@@ -81,7 +77,6 @@ class Machine:
         network_model: str = "queues",
         migratory_detection: bool = False,
         dispatch: Optional[str] = None,
-        shards: "int | str | None" = None,
     ) -> None:
         self.params = params if params is not None else MachineParams()
         self.spec = spec_of(protocol)
@@ -111,26 +106,6 @@ class Machine:
         #: Resolved before the nodes exist: each node's home engine
         #: reads it at construction.
         self.dispatch = resolve_dispatch(dispatch)
-
-        #: shard count for parallel-in-time execution (repro.sim.shard);
-        #: an execution knob exactly like dispatch — sharded runs are
-        #: byte-identical to serial, so it never enters cache keys.
-        #: Capped at one shard per node; "auto" means the CPU count.
-        self.shards = min(resolve_shards(shards), self.params.n_nodes)
-
-        #: constructor arguments, kept verbatim so shard workers can
-        #: rebuild this machine in their own processes
-        self._ctor_args = dict(
-            params=self.params,
-            protocol=self.spec,
-            software=software,
-            track_worker_sets=track_worker_sets,
-            collect_handler_samples=collect_handler_samples,
-            invalidation_mode=invalidation_mode,
-            network_model=network_model,
-            migratory_detection=migratory_detection,
-            dispatch=self.dispatch,
-        )
 
         self.sim = Simulator()
         self.mesh = Mesh(self.params.n_nodes)
@@ -180,18 +155,14 @@ class Machine:
         #: optional access profiler (repro.analysis.profiling)
         self.profiler = None
 
-        #: optional ``(shard_id, cycles)`` heartbeat callback for
-        #: sharded runs (wired by the exec layer to fleet telemetry)
-        self.shard_progress = None
-
         #: observability event bus (repro.obs); None until observe() is
         #: called, so probe sites are a single None-check by default
         self.obs: Optional["EventBus"] = None
 
         #: per-node coherence-transaction counters (tracing metadata;
         #: ids interleave modulo n_nodes so they stay unique while each
-        #: node's sequence depends only on its own history — a shard
-        #: allocates exactly the ids the serial engine would)
+        #: node's sequence depends only on its own history — the
+        #: attribution baseline and the span tests pin these ids)
         self._txn_counters: List[int] = [0] * self.params.n_nodes
 
         self._done_at: Dict[int, int] = {}
@@ -373,21 +344,6 @@ class Machine:
                 "a Machine instance runs one workload; build a fresh one"
             )
         self._ran = True
-        # A workload whose thread op streams couple through Python
-        # state (shard_safe=False) only replays correctly under the
-        # serial interleaving; the serial engine is byte-identical by
-        # definition, so fall through rather than error — sweeps mix
-        # workloads and one serial-only application must not fail the
-        # whole run.
-        if self.shards > 1 and getattr(workload, "shard_safe", True):
-            from repro.sim.shard import run_sharded, sharding_available
-
-            self._check_shardable(max_cycles, max_events)
-            if sharding_available():
-                return run_sharded(self, workload, self.shards,
-                                   progress=self.shard_progress)
-            # Daemonic pool workers cannot fork shard processes; the
-            # serial engine below is byte-identical, so fall through.
         workload.setup(self)
         for node in self.nodes:
             node.processor.start(workload.thread(self, node.id))
@@ -401,34 +357,6 @@ class Machine:
                 f"processors {unfinished[:8]}"
             )
         return self._collect()
-
-    def _check_shardable(self, max_cycles: Optional[int],
-                         max_events: Optional[int]) -> None:
-        """Reject configurations the sharded runtime cannot reproduce
-        byte-identically (callers get a clear error, not a silently
-        different run)."""
-        if self.network_model != "queues":
-            raise ConfigurationError(
-                "sharded runs require network_model='queues': link "
-                "reservations are global state (see repro.network."
-                "detailed)"
-            )
-        if self.profiler is not None:
-            raise ConfigurationError(
-                "the access profiler accumulates in-process state; "
-                "profile with --shards 1"
-            )
-        if max_cycles is not None or max_events is not None:
-            raise ConfigurationError(
-                "max_cycles/max_events cannot bound a sharded run; "
-                "use --shards 1"
-            )
-        if ("send" in self.fabric.__dict__
-                or self.fabric._schedule_arrival != self.sim.at):
-            raise ConfigurationError(
-                "a wrapped fabric (protocol tracer) observes only this "
-                "process; trace with --shards 1"
-            )
 
     def _check_deadlock(self) -> None:
         stuck = [

@@ -54,48 +54,6 @@ def resolve_dispatch(value: "str | None" = None) -> str:
     return value
 
 
-#: Environment override for the shard count, mirroring
-#: :data:`DISPATCH_ENV` — sharding is likewise an execution knob
-#: (byte-identical results), never a :class:`MachineParams` field and
-#: never part of experiment cache keys.
-SHARDS_ENV = "REPRO_SHARDS"
-
-
-def resolve_shards(value: "int | str | None" = None, *,
-                   jobs: int = 1) -> int:
-    """Resolve a ``--shards`` value to a concrete shard count.
-
-    Precedence: explicit ``value``, then the ``REPRO_SHARDS``
-    environment variable, then ``1`` (serial).  ``"auto"`` divides the
-    CPU count by ``jobs`` so a sharded run inside a job pool never
-    oversubscribes the machine; an explicit count is honoured verbatim
-    when ``jobs == 1`` (more shards than cores is legal — the CI
-    equivalence gate relies on it) but clamped to the fair share when
-    competing with other pool workers.
-    """
-    if value is None:
-        value = os.environ.get(SHARDS_ENV) or 1
-    if jobs < 1:
-        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-    fair_share = max(1, (os.cpu_count() or 1) // jobs)
-    if isinstance(value, str):
-        text = value.strip().lower()
-        if text == "auto":
-            return fair_share
-        try:
-            value = int(text)
-        except ValueError:
-            raise ConfigurationError(
-                f"--shards expects a positive integer or 'auto', "
-                f"got {text!r}"
-            ) from None
-    if value < 1:
-        raise ConfigurationError(f"--shards must be >= 1, got {value}")
-    if jobs > 1:
-        return min(value, fair_share)
-    return value
-
-
 @dataclasses.dataclass(frozen=True)
 class MachineParams:
     """Immutable description of the simulated machine.

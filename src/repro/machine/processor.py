@@ -109,9 +109,9 @@ class Processor:
         self.state = ProcState.RUNNING
         self._last_progress = self.sim.now
         # The start event is owned by this node, not by whatever context
-        # called start() (workload setup runs as node 0): a shard that
-        # starts only its own nodes must allocate exactly the sequence
-        # numbers the serial engine allocates for them.
+        # called start() (workload setup runs as node 0).  The owner
+        # sets the same-cycle firing order, which the equivalence and
+        # op-coverage fixtures pin.
         self.sim.after(0, self._guarded(self._step), owner=self.node.id)
 
     @property
@@ -379,7 +379,8 @@ class Processor:
         # the miss through every message/trap/handler it causes.  Ids
         # are allocated from a per-node counter (interleaved modulo
         # n_nodes), so a node's ids depend only on its own deterministic
-        # history — identical across runs and across shard counts.
+        # history — identical across runs, as the attribution baseline
+        # and the span tests pin them.
         txn = self.machine.next_txn(self.node.id)
         self._begin_stall(
             at, "write" if access is WRITE else "read",

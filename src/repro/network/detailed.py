@@ -11,8 +11,7 @@ resource, so messages crossing shared links queue behind each other.
 Unlike the base fabric, delivery is computed analytically at send time
 (one event per message): link reservations are global state, so there
 is no per-node locality to exploit and no reason to split the path into
-arrival and delivery events.  That same global state is why this model
-cannot be sharded — ``--shards`` requires ``network_model="queues"``.
+arrival and delivery events.
 
 The ablation benchmark compares the two models to quantify how much the
 paper's results could owe to the unmodelled switch contention (answer:

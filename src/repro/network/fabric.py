@@ -7,10 +7,7 @@ transmit queue is resolved at the *source* when a message is sent; the
 receive queue is resolved at the *destination* when the message arrives.
 Each message therefore costs two events (arrival and delivery), and every
 piece of network state is local to exactly one node: transmit clocks to
-the sender, receive clocks to the receiver.  That locality is what lets
-the sharded runtime (:mod:`repro.sim.shard`) partition nodes across
-processes — a cross-shard message carries only its arrival time and
-event key, never shared clock state.
+the sender, receive clocks to the receiver.
 
 Point-to-point FIFO needs no explicit bookkeeping here: per (src, dst)
 pair, arrival times are strictly increasing (the sender's transmit queue
@@ -98,12 +95,6 @@ class Fabric:
         self._receivers: List[Receiver] = [self._unattached] * mesh.n_nodes
         #: delivery events scheduled so far (see messages_delivered)
         self._deliveries = 0
-        #: schedules an arrival event ``(time, fn)``; ``fn`` is a
-        #: ``partial(self._receive, msg)``.  The serial fabric binds the
-        #: engine's ``at`` directly (no extra frame per message); the
-        #: sharded runtime replaces it to ship cross-shard arrivals,
-        #: with their sender-allocated keys, to the owning shard.
-        self._schedule_arrival = sim.at
         self.flits_carried = 0
         #: observability bus (set by Machine.observe); probe sites stay
         #: a single None-check until someone is listening
@@ -173,16 +164,17 @@ class Fabric:
         tx_done = tx_start + size
         tx_free[src] = tx_done
         arrival = tx_done + self._transit[src * self._n_nodes + msg.dst]
-        self._schedule_arrival(arrival, partial(self._receive, msg))
+        self.sim.at(arrival, partial(self._receive, msg))
 
     def _receive(self, msg: Message) -> None:
         """``msg`` arrived at its destination's receive queue.
 
-        Runs at the arrival time, on the destination node's shard.  The
-        simulation context is re-anchored to the destination: every
-        event this delivery causes is keyed by the receiver's counters,
-        which is what keeps cross-shard execution byte-identical to the
-        serial engine.
+        Runs at the arrival time.  The simulation context is
+        re-anchored to the destination: every event this delivery
+        causes is keyed by the receiver's node id.  That fixes the
+        same-cycle event order and the transaction ids, which the
+        equivalence and op-coverage fixtures and the attribution
+        baseline pin.
         """
         sim = self.sim
         dst = msg.dst

@@ -86,10 +86,9 @@ EVENT_FIELDS: Dict[str, Sequence[str]] = {
     "cache_miss": ("key",),
     "cache_put": ("key",),
     "job_started": ("key", "pid"),
-    # job_progress may additionally carry a "shard" field when the job
-    # runs under the sharded engine (repro.sim.shard): one heartbeat
-    # stream per shard, keyed by shard id.  Optional extra fields are
-    # schema-legal (the schema is append-only).
+    # Optional extra fields are schema-legal (the schema is
+    # append-only): logs from older releases carry a partition id on
+    # job_progress, which readers ignore.
     "job_progress": ("key", "pid", "cycles"),
     "job_finished": ("key", "pid", "wall_s", "run_cycles",
                      "sim_cycles_per_sec"),
@@ -217,27 +216,6 @@ class FleetTelemetry:
                 self.emit("job_progress", key=key, cycles=now_cycles)
 
         machine.observe().on_advance.append(_tick)
-
-    def watch_shards(self, machine: "Machine", key: str) -> None:
-        """Wire per-shard heartbeats for a sharded run.
-
-        The sharded engine cannot drive ``on_advance`` subscribers (no
-        global clock ticks in one process), so the window coordinator
-        calls ``machine.shard_progress(shard_id, cycles)`` instead;
-        this throttles each shard's stream to ``heartbeat_every``
-        simulated cycles and emits ``job_progress`` events carrying the
-        shard id.
-        """
-        every = self.heartbeat_every
-        last: Dict[int, int] = {}
-
-        def _tick(shard: int, now_cycles: int) -> None:
-            if now_cycles - last.get(shard, 0) >= every:
-                last[shard] = now_cycles - (now_cycles % every)
-                self.emit("job_progress", key=key, cycles=now_cycles,
-                          shard=shard)
-
-        machine.shard_progress = _tick
 
 
 # ----------------------------------------------------------------------
@@ -370,9 +348,6 @@ class FleetMonitor:
         self.completed = 0
         self.failed = 0
         self.running: Dict[str, int] = {}  # key -> latest heartbeat cycles
-        #: key -> {shard id -> latest heartbeat cycles} for jobs running
-        #: under the sharded engine (heartbeats carrying a "shard" field)
-        self.running_shards: Dict[str, Dict[int, int]] = {}
         self.cache_hits = 0
         self.cache_misses = 0
         self.cache_puts = 0
@@ -513,13 +488,8 @@ class FleetMonitor:
             self.running.setdefault(doc["key"], 0)
         elif kind == "job_progress":
             self.running[doc["key"]] = doc["cycles"]
-            shard = doc.get("shard")
-            if shard is not None:
-                per_shard = self.running_shards.setdefault(doc["key"], {})
-                per_shard[shard] = doc["cycles"]
         elif kind == "job_finished":
             self.running.pop(doc["key"], None)
-            self.running_shards.pop(doc["key"], None)
             self.completed += 1
             self.queued = max(0, self.queued - 1)
             self.sim_cycles_done += doc["run_cycles"]
@@ -535,7 +505,6 @@ class FleetMonitor:
             })
         elif kind == "job_failed":
             self.running.pop(doc["key"], None)
-            self.running_shards.pop(doc["key"], None)
             self.failed += 1
             self.queued = max(0, self.queued - 1)
         elif kind == "sweep_finished":
@@ -592,10 +561,6 @@ class FleetMonitor:
                 "hit_rate": self.cache_hit_rate(),
             },
             "sim_cycles": self.sim_cycles_done,
-            "shards": {
-                key: [per_shard[s] for s in sorted(per_shard)]
-                for key, per_shard in sorted(self.running_shards.items())
-            },
             "wall_s": round(self.elapsed_s(), 6),
             "eta_s": (round(self.eta_seconds(), 3)
                       if self.eta_seconds() is not None
@@ -619,12 +584,6 @@ class FleetMonitor:
         parts.append(f"{self.completed}/{total} jobs")
         if self.running:
             parts.append(f"{len(self.running)} running")
-        for per_shard in self.running_shards.values():
-            # Sharded jobs advance in near-lockstep windows, so the
-            # spread is tiny; show each shard's simulated clock.
-            cycles = "/".join(_fmt_rate(per_shard[s])
-                              for s in sorted(per_shard))
-            parts.append(f"shards {cycles} cyc")
         if self.failed:
             parts.append(f"{self.failed} FAILED")
         rate = self.throughput()
@@ -879,12 +838,7 @@ class RunProgress:
                                         heartbeat_every=every)
         self.label = label
         self.telemetry.job_started(label)
-        from repro.sim.shard import sharding_available
-
-        if machine.shards > 1 and sharding_available():
-            self.telemetry.watch_shards(machine, label)
-        else:
-            self.telemetry.watch(machine, label)
+        self.telemetry.watch(machine, label)
 
     @classmethod
     def attach(cls, machine: "Machine", label: str,

@@ -11,7 +11,7 @@ payloads.
 
 The hard invariant, inherited from the rest of the repository: every
 result or artifact served over HTTP is byte-identical to what the CLI
-writes for the same spec, at any ``--jobs``/``--shards`` setting.
+writes for the same spec, at any ``--jobs`` setting.
 
 - :mod:`repro.serve.http` — minimal HTTP/1.1 (keep-alive, chunked
   streaming) on raw asyncio;

@@ -15,17 +15,9 @@ so only its *relative* order among one owner's events matters, never
 its value.  Within one owner the global counter increases in
 allocation order, exactly as a per-owner counter would: both keys
 induce the same total order, and the heap pops the same sequence.
-
-That relative-order argument is also what makes parallel-in-time
-sharding possible (:mod:`repro.sim.shard`).  Every event whose key
-names owner X is allocated in the shard that owns X, including the
-arrival keys a sender allocates with :meth:`Simulator.alloc_seq` and
-ships to the destination shard for :meth:`Simulator.post`.  Those
-allocations happen in the same relative order as in the serial engine,
-so a shard's counter ranks any two of X's keys exactly as the serial
-counter does — even though the numbers differ — and the sharded heaps
-and the ``current_key`` merge of observability records reproduce the
-serial order.
+That order is not free to change: the equivalence and op-coverage
+fixtures and the attribution baseline pin the event order and the
+transaction ids it produces.
 
 The key stays a tuple of three small ints.  A prototype that packed it
 into one integer ran the 16-node WORKER benchmark about 10% slower: the
@@ -58,10 +50,6 @@ class Simulator:
         #: loops set it from each event's key; the fabric sets it to a
         #: message's destination when delivery processing begins.
         self.current_owner = 0
-        #: Full key of the event currently executing under
-        #: :meth:`run_window` — shard-mode bookkeeping used to tag
-        #: observability records for deterministic cross-shard merging.
-        self.current_key: Tuple[int, int, int] = (0, 0, 0)
         #: Last tie-break sequence number handed out (process-wide;
         #: see the module docstring for why one counter suffices).
         self._seq = 0
@@ -77,17 +65,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-
-    def alloc_seq(self) -> int:
-        """Allocate the next tie-break sequence number.
-
-        Exposed for the sharded fabric, which allocates the sender-side
-        key of a cross-shard arrival locally (so the sender's relative
-        order matches the serial engine's) and ships the finished key
-        to the destination shard for :meth:`post`.
-        """
-        self._seq = seq = self._seq + 1
-        return seq
 
     def at(self, time: int, fn: Callable[[], None],
            owner: Optional[int] = None) -> None:
@@ -123,13 +100,13 @@ class Simulator:
 
     def post(self, time: int, owner: int, seq: int,
              fn: Callable[[], None]) -> None:
-        """Insert an event under a pre-allocated ``(time, owner, seq)``.
+        """Insert an event under an explicit ``(time, owner, seq)`` key.
 
-        Shard-mode injection: a cross-shard message arrives with the
-        exact key its sender allocated (via :meth:`alloc_seq`), so the
-        destination shard's heap orders it precisely where the serial
-        engine would have.  The local counter is *not* advanced — the
-        owning shard already allocated the key.
+        The counter is *not* advanced.  No simulator code calls this; it
+        stays only because ``bench/layers.py`` names it among the
+        ``sim.events`` entry points and resolves each name with
+        ``getattr``, so removing it would fail every traced benchmark
+        run.
         """
         if time < self.now:
             raise SimulationError(
@@ -228,37 +205,6 @@ class Simulator:
         finally:
             self._running = False
         return self.now
-
-    def run_window(self, limit: int) -> int:
-        """Run every queued event with ``time < limit``; return the
-        number executed.
-
-        The shard loop: a shard advances through one conservative time
-        window, then synchronises at the window barrier
-        (:mod:`repro.sim.shard`).  Events at or beyond ``limit`` stay
-        queued for later windows.  Each executed event's full key is
-        published in :attr:`current_key` so observability records
-        emitted during it can be tagged for deterministic merging.
-        """
-        if self._running:
-            raise SimulationError("run_window() is not reentrant")
-        self._running = True
-        heap = self._heap
-        pop = heappop
-        executed = 0
-        try:
-            while heap and not self._stopped:
-                if heap[0][0] >= limit:
-                    break
-                time, owner, seq, fn = pop(heap)
-                self.now = time
-                self.current_owner = owner
-                self.current_key = (time, owner, seq)
-                fn()
-                executed += 1
-        finally:
-            self._running = False
-        return executed
 
     @property
     def next_event_time(self) -> Optional[int]:

@@ -1,107 +1,7 @@
-"""Conservative time windows for parallel-in-time sharding.
+"""Empty module, kept only for the benchmark harness.
 
-The sharded runtime (:mod:`repro.sim.shard`) advances every shard
-through bounded windows of simulated time, exchanging cross-shard
-fabric messages only at window barriers.  That is sound — no shard can
-ever receive an event it should already have processed — because the
-mesh gives a *lookahead* guarantee: a message sent at time ``t`` from
-node ``i`` to node ``j`` cannot arrive before
-
-    ``t + size_flits + hops(i, j) * hop_latency``
-
-(the transmit queue serialises the full message before the head enters
-the mesh, and transit is ``hop_latency`` per hop).  Minimising over
-message size (``header_flits`` — no protocol message is smaller) and
-over all cross-shard node pairs yields the window length ``W``: every
-message sent during a window ``[S, S + W)`` arrives at or after
-``S + W``, i.e. in a later window, so shards never need to hear from
-each other mid-window.  This is the classic conservative lookahead of
-Chandy–Misra-style parallel discrete-event simulation, computed from
-the mesh geometry instead of a user-supplied null-message bound.
-
-Nodes are partitioned into contiguous row-major ranges.  On a 2-D mesh
-that keeps each shard's nodes spatially clustered (whole rows), which
-maximises the minimum cross-shard hop distance a non-trivial partition
-can achieve while keeping ownership a cheap range lookup.
+The benchmark's module-to-layer map (``RULES`` in ``bench/layers.py``)
+still names this module path, and the harness's own test requires
+every path it names to exist.  No code lives here and nothing imports
+it.  Delete this file together with that ``RULES`` entry.
 """
-
-from __future__ import annotations
-
-from typing import List
-
-from repro.common.errors import ConfigurationError
-from repro.network.topology import Mesh
-
-__all__ = ["partition_nodes", "owner_of_nodes", "min_cross_shard_hops",
-           "window_length"]
-
-
-def partition_nodes(n_nodes: int, n_shards: int) -> List[List[int]]:
-    """Split ``range(n_nodes)`` into ``n_shards`` contiguous ranges.
-
-    Sizes differ by at most one (the first ``n_nodes % n_shards``
-    shards take the extra node).  Every shard owns at least one node:
-    more shards than nodes is a configuration error.
-    """
-    if n_shards < 1:
-        raise ConfigurationError(f"need at least one shard, got {n_shards}")
-    if n_shards > n_nodes:
-        raise ConfigurationError(
-            f"cannot split {n_nodes} nodes across {n_shards} shards"
-        )
-    base, extra = divmod(n_nodes, n_shards)
-    shards: List[List[int]] = []
-    start = 0
-    for i in range(n_shards):
-        size = base + (1 if i < extra else 0)
-        shards.append(list(range(start, start + size)))
-        start += size
-    return shards
-
-
-def owner_of_nodes(n_nodes: int, n_shards: int) -> List[int]:
-    """``owner[node] -> shard`` for the contiguous partition."""
-    owner = [0] * n_nodes
-    for shard, nodes in enumerate(partition_nodes(n_nodes, n_shards)):
-        for node in nodes:
-            owner[node] = shard
-    return owner
-
-
-def min_cross_shard_hops(mesh: Mesh, owner: List[int]) -> int:
-    """Minimum mesh distance between nodes owned by different shards.
-
-    This is the distance that bounds how quickly one shard's activity
-    can influence another's; with a single shard there is no cross-shard
-    pair and the (unused) lookahead is taken over the full mesh
-    diameter, returned here as the maximum hop count.
-    """
-    n = mesh.n_nodes
-    table = mesh.hop_table()
-    best = None
-    for src in range(n):
-        row = src * n
-        owner_src = owner[src]
-        for dst in range(src + 1, n):
-            if owner[dst] == owner_src:
-                continue
-            hops = table[row + dst]
-            if best is None or hops < best:
-                best = hops
-                if best == 1:
-                    return 1  # a mesh cannot do better
-    if best is None:
-        return max(table)
-    return best
-
-
-def window_length(header_flits: int, hop_latency: int,
-                  min_hops: int) -> int:
-    """Conservative window length in cycles.
-
-    ``header_flits`` cycles of transmit serialisation (the smallest
-    message) plus ``min_hops * hop_latency`` of transit: no cross-shard
-    message sent inside a window can arrive before the window after it.
-    Floored at 1 so degenerate parameterisations still make progress.
-    """
-    return max(1, header_flits + min_hops * hop_latency)

@@ -1,17 +1,14 @@
 """Dataflow analyses over Python ASTs (the ``repro check --flow`` layer).
 
-The runtime A/B gates (17-config compiled-vs-interpreted equivalence,
-sharded-vs-serial byte-identity) prove the configurations we happened to
-run.  This package makes the same claims *statically and totally*:
+The runtime A/B gate (17-config compiled-vs-interpreted equivalence)
+proves the configurations we happened to run.  This package makes the
+same claims *statically and totally*:
 
-- :mod:`repro.verify.flow.cfg` — control-flow graphs over function ASTs,
-- :mod:`repro.verify.flow.absint` — an abstract-value lattice, a
-  worklist solver, and a structural abstract interpreter,
+- :mod:`repro.verify.flow.cfg` — control-flow graphs over function ASTs
+  and the forward worklist solver that walks them,
 - :mod:`repro.verify.flow.transval` — translation validation: every
   generated dispatch module is proven row-for-row equivalent to its
   source protocol table,
-- :mod:`repro.verify.flow.shardsafe` — purity/escape inference that
-  checks each workload's declared ``shard_safe`` flag,
 - :mod:`repro.verify.flow.taint` — the dataflow upgrade of the
   per-statement determinism linter.
 
@@ -27,14 +24,12 @@ __all__ = ["run_flow"]
 
 
 def run_flow() -> Report:
-    """Run translation validation, shard-safety inference, and the
-    taint determinism analysis; aggregate into one report."""
-    from repro.verify.flow.shardsafe import run_shardsafe
+    """Run translation validation and the taint determinism analysis;
+    aggregate into one report."""
     from repro.verify.flow.taint import run_taint
     from repro.verify.flow.transval import run_transval
 
     report = Report()
     report.extend(run_transval())
-    report.extend(run_shardsafe())
     report.extend(run_taint())
     return report

@@ -12,16 +12,17 @@ The graph is deliberately coarse where the analyses do not need
 precision: ``try`` bodies are modeled as "handler may run after any
 prefix" by giving the body's entry *and* exit an edge into each
 handler, and ``with`` is inlined.  Clients: the taint determinism
-analysis (worklist dataflow over blocks) and translation validation
-(the all-paths-terminate check on generated dispatch handlers).
+analysis (worklist dataflow over blocks, solved by
+:func:`solve_forward`) and translation validation (the
+all-paths-terminate check on generated dispatch handlers).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-__all__ = ["Unit", "Block", "CFG", "build_cfg"]
+__all__ = ["Unit", "Block", "CFG", "build_cfg", "solve_forward"]
 
 
 class Unit:
@@ -216,3 +217,45 @@ def build_cfg(fn: ast.AST) -> CFG:
     if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
         raise TypeError(f"build_cfg needs a function node, got {fn!r}")
     return _Builder(fn).build()
+
+
+def solve_forward(
+    cfg: CFG,
+    init: object,
+    transfer: Callable[[Unit, object], object],
+    join: Callable[[object, object], object],
+    equals: Callable[[object, object], bool],
+    max_passes: int = 64,
+) -> Tuple[Dict[int, object], Dict[int, object]]:
+    """Forward fixpoint over ``cfg``.  Returns (in, out) block states.
+
+    ``transfer`` folds one :class:`Unit` into a state; states must be
+    treated as immutable by the callback (return a new one).
+    """
+    order = cfg.rpo()
+    in_states: Dict[int, object] = {}
+    out_states: Dict[int, object] = {}
+    for _ in range(max_passes):
+        changed = False
+        for bid in order:
+            block = cfg.block(bid)
+            if bid == cfg.entry:
+                state = init
+            else:
+                preds = [out_states[p] for p in block.preds
+                         if p in out_states]
+                if not preds:
+                    continue
+                state = preds[0]
+                for other in preds[1:]:
+                    state = join(state, other)
+            in_states[bid] = state
+            for unit in block.units:
+                state = transfer(unit, state)
+            old = out_states.get(bid)
+            if old is None or not equals(old, state):
+                out_states[bid] = state
+                changed = True
+        if not changed:
+            return in_states, out_states
+    return in_states, out_states  # widened by the pass cap

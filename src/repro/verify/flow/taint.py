@@ -5,7 +5,7 @@ hazard *sites*: a ``for`` over a set expression, an unsorted
 ``os.listdir`` call.  This pass tracks the hazard *values* through one
 module with a forward dataflow analysis over
 :mod:`repro.verify.flow.cfg` graphs (solved by
-:func:`repro.verify.flow.absint.solve_forward`):
+:func:`repro.verify.flow.cfg.solve_forward`):
 
 - **Unordered values** (set literals/comprehensions/constructors,
   set-algebra results, and the *returns of module functions and
@@ -46,8 +46,7 @@ import os
 import re
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.verify.flow.absint import solve_forward
-from repro.verify.flow.cfg import CFG, Unit, build_cfg
+from repro.verify.flow.cfg import CFG, Unit, build_cfg, solve_forward
 from repro.verify.report import Finding, Report
 
 __all__ = ["taint_source", "run_taint", "stale_suppressions"]

@@ -39,18 +39,6 @@ class Workload(abc.ABC):
     #: short identifier used in reports
     name: str = "workload"
 
-    #: Whether every thread's op stream depends only on the machine
-    #: parameters and its own ``node_id``.  Python-side *aggregates*
-    #: (result reductions, statistics counters) may couple threads
-    #: freely — they never reach RunStats — but a thread whose
-    #: *yielded ops* depend on state mutated by other nodes' threads
-    #: must set this False: the sharded runtime
-    #: (:mod:`repro.sim.shard`) runs each node's generator in the
-    #: process that owns it, so such streams would silently diverge
-    #: from the serial interleaving.  ``Machine.run`` falls back to
-    #: the (byte-identical) serial engine when this is False.
-    shard_safe: bool = True
-
     @abc.abstractmethod
     def setup(self, machine: "Machine") -> None:
         """Allocate shared data on ``machine`` before threads start."""

@@ -39,12 +39,6 @@ class Evolve(Workload):
 
     name = "evolve"
 
-    #: The visit-counter cadence (``self.steps % 2``) is Python state
-    #: bumped by *every* node's thread, so each thread's op stream
-    #: depends on the global interleaving of all threads — which only
-    #: the serial engine reproduces.  Sharded runs fall back to it.
-    shard_safe = False
-
     def __init__(self, dimensions: int = 12, walks_per_node: int = 5,
                  seed: int = 11) -> None:
         if not 4 <= dimensions <= 20:

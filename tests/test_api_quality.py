@@ -82,9 +82,7 @@ MODULES = [
     "repro.verify",
     "repro.verify.abstract",
     "repro.verify.flow",
-    "repro.verify.flow.absint",
     "repro.verify.flow.cfg",
-    "repro.verify.flow.shardsafe",
     "repro.verify.flow.taint",
     "repro.verify.flow.transval",
     "repro.verify.lint",

@@ -50,30 +50,24 @@ class TestScheduling:
 
     def test_rejected_schedule_burns_no_sequence_number(self):
         """Validation precedes the tie-break counter: a past-time at()
-        or a negative after() that raises must not shift the order of
-        later same-cycle events, locally scheduled or posted under a
-        pre-allocated key (a caller catching and retrying would
-        otherwise perturb bit-for-bit reproducibility)."""
-        def trace(reject):
+        or a negative after() that raises must leave the keys of later
+        events exactly as they would have been (a caller catching and
+        retrying would otherwise perturb bit-for-bit reproducibility)."""
+        def keys(reject):
             sim = Simulator()
-            order = []
             sim.at(10, lambda: None)
             sim.run()
-            sim.at(20, lambda: order.append("a"))
+            sim.at(20, lambda: None)
             if reject:
                 with pytest.raises(SimulationError):
-                    sim.at(5, lambda: order.append("never"))
+                    sim.at(5, lambda: None)
                 with pytest.raises(SimulationError):
-                    sim.after(-1, lambda: order.append("never"))
-            seq = sim.alloc_seq()
-            sim.at(20, lambda: order.append("b"))
-            sim.post(20, sim.current_owner, seq,
-                     lambda: order.append("posted"))
-            sim.run()
-            return order
+                    sim.after(-1, lambda: None)
+            sim.at(20, lambda: None)
+            sim.after(3, lambda: None, owner=2)
+            return sorted(event[:3] for event in sim._heap)
 
-        assert trace(reject=True) == trace(reject=False) == [
-            "a", "posted", "b"]
+        assert keys(reject=True) == keys(reject=False)
 
 
 class TestOwnerKeys:
@@ -102,15 +96,15 @@ class TestOwnerKeys:
         assert owners == [3, 3]
 
     def test_post_reproduces_an_allocated_key(self):
-        # Two engines, same schedule: one allocates locally, the other
-        # receives the key via post(); both must order identically.
+        # Events posted under the keys another engine allocated fire
+        # in that engine's order, whatever order they were posted in.
         a, b = Simulator(), Simulator()
         out_a, out_b = [], []
-        seq = a.alloc_seq()
-        a.post(4, 5, seq, lambda: out_a.append("x"))
-        a.at(4, lambda: out_a.append("y"), owner=6)
         b.at(4, lambda: out_b.append("x"), owner=5)
-        b.at(4, lambda: out_b.append("y"), owner=6)
+        b.at(4, lambda: out_b.append("y"), owner=5)
+        first, second = sorted(event[:3] for event in b._heap)
+        a.post(*second, lambda: out_a.append("y"))
+        a.post(*first, lambda: out_a.append("x"))
         a.run()
         b.run()
         assert out_a == out_b == ["x", "y"]
@@ -131,44 +125,6 @@ class TestOwnerKeys:
         sim.run()
         with pytest.raises(SimulationError):
             sim.post(5, 0, 1, lambda: None)
-
-    def test_run_window_executes_strictly_before_limit(self):
-        sim = Simulator()
-        fired = []
-        for t in (0, 3, 4, 9):
-            sim.at(t, lambda t=t: fired.append(t))
-        executed = sim.run_window(4)
-        assert fired == [0, 3]
-        assert executed == 2
-        assert sim.pending_events == 2
-        assert sim.next_event_time == 4
-        executed = sim.run_window(100)
-        assert fired == [0, 3, 4, 9]
-        assert executed == 2
-        assert sim.next_event_time is None
-
-    def test_run_window_publishes_current_key(self):
-        sim = Simulator()
-        keys = []
-        sim.at(2, lambda: keys.append(sim.current_key), owner=4)
-        sim.run_window(10)
-        assert keys == [(2, 4, 1)]
-
-    def test_serial_run_matches_windowed_run(self):
-        def build():
-            sim = Simulator()
-            out = []
-            for i, (t, owner) in enumerate(
-                    [(5, 1), (5, 0), (2, 3), (5, 1), (9, 0)]):
-                sim.at(t, lambda i=i: out.append((sim.now, i)), owner=owner)
-            return sim, out
-
-        serial, out_serial = build()
-        serial.run()
-        windowed, out_windowed = build()
-        for limit in (3, 6, 12):
-            windowed.run_window(limit)
-        assert out_serial == out_windowed
 
 
 class TestRunControl:
@@ -291,44 +247,24 @@ class ReferenceHeap:
         self._owner_seq = {}
         self._heap = []
 
-    def alloc_seq(self, owner):
-        seq = self._owner_seq.get(owner, 0) + 1
-        self._owner_seq[owner] = seq
-        return seq
-
     def at(self, time, fn, owner=None):
         if time < self.now:
             raise SimulationError("past")
         if owner is None:
             owner = self.current_owner
-        heapq.heappush(self._heap, (time, owner, self.alloc_seq(owner), fn))
+        seq = self._owner_seq.get(owner, 0) + 1
+        self._owner_seq[owner] = seq
+        heapq.heappush(self._heap, (time, owner, seq, fn))
 
     def after(self, delay, fn, owner=None):
         if delay < 0:
             raise SimulationError("negative delay")
         self.at(self.now + delay, fn, owner)
 
-    def post(self, time, owner, seq, fn):
-        if time < self.now:
-            raise SimulationError("past")
-        heapq.heappush(self._heap, (time, owner, seq, fn))
-
-    def run(self, until):
+    def run(self):
         while self._heap:
-            if self._heap[0][0] > until:
-                self.now = until
-                break
             self.now, self.current_owner, _, fn = heapq.heappop(self._heap)
             fn()
-
-    @property
-    def pending_events(self):
-        return len(self._heap)
-
-
-#: Cycles per window of `_firing_order` below; shipped keys arrive
-#: at least this far ahead, as cross-shard messages do.
-WINDOW = 4
 
 OWNERS = st.one_of(st.none(), st.integers(min_value=0, max_value=3))
 
@@ -336,7 +272,7 @@ OWNERS = st.one_of(st.none(), st.integers(min_value=0, max_value=3))
 def _actions(children):
     # (kind, delay, owner or None for "inherit", nested actions)
     return st.lists(st.tuples(
-        st.sampled_from(["at", "after", "past", "ship"]),
+        st.sampled_from(["at", "after", "past"]),
         st.integers(min_value=0, max_value=5), OWNERS, children),
         max_size=3)
 
@@ -350,17 +286,10 @@ PROGRAMS = st.lists(
 def _firing_order(sim, program):
     """Run ``program`` on ``sim`` and return its firing order.
 
-    Events schedule nested events with at()/after(), attempt rejected
-    past-time schedules, and "ship" events the way the sharded fabric
-    does: allocate the key now, post it at the next window boundary.
+    Events schedule nested events with at()/after() and attempt
+    rejected past-time schedules.
     """
     order = []
-    outbox = []
-
-    def alloc(owner):
-        if isinstance(sim, ReferenceHeap):
-            return sim.alloc_seq(owner)
-        return sim.alloc_seq()
 
     def event(label, actions):
         def fire():
@@ -371,28 +300,17 @@ def _firing_order(sim, program):
                     sim.at(sim.now + delay, child, owner)
                 elif kind == "after":
                     sim.after(delay, child, owner)
-                elif kind == "past":
+                else:
                     with pytest.raises(SimulationError):
                         if sim.now > delay:
                             sim.at(sim.now - 1 - delay, child, owner)
                         else:
                             sim.after(-1 - delay, child, owner)
-                else:
-                    if owner is None:
-                        owner = sim.current_owner
-                    outbox.append((sim.now + WINDOW + delay, owner,
-                                   alloc(owner), child))
         return fire
 
     for i, (time, owner, actions) in enumerate(program):
         sim.at(time, event(str(i), actions), owner)
-    end = 0
-    while sim.pending_events or outbox:
-        end += WINDOW
-        sim.run(until=end)
-        for shipped in outbox:
-            sim.post(*shipped)
-        outbox.clear()
+    sim.run()
     return order
 
 

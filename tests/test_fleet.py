@@ -33,6 +33,7 @@ from repro.obs.fleet import (
     load_eta_hints,
     prometheus_snapshot,
     read_fleet_log,
+    replay_fleet_log,
     summarize_fleet_log,
     validate_event,
 )
@@ -495,6 +496,70 @@ class TestLiveTail:
         assert len(progress) == 2 * n_each
         assert sorted(e["key"] for e in progress) == \
             ["a"] * n_each + ["b"] * n_each
+
+
+# ----------------------------------------------------------------------
+# Logs written by older releases (the schema is append-only)
+# ----------------------------------------------------------------------
+
+def sharded_run_events():
+    """One job's lifecycle as the removed parallel-in-time engine
+    logged it: every ``job_progress`` heartbeat carries a ``shard``."""
+    return [
+        event("sweep_started", jobs=1, seq=1),
+        event("job_started", key="k", pid=7, seq=2),
+        event("job_progress", key="k", pid=7, cycles=50_000, shard=0,
+              seq=3),
+        event("job_progress", key="k", pid=7, cycles=50_000, shard=1,
+              seq=4),
+        event("job_progress", key="k", pid=7, cycles=100_000, shard=0,
+              seq=5),
+        event("job_finished", key="k", pid=7, wall_s=0.5,
+              run_cycles=120_000, sim_cycles_per_sec=240_000.0, seq=6),
+        event("sweep_finished", wall_s=0.6, jobs_executed=1, seq=7),
+    ]
+
+
+def write_log(path, events):
+    writer = FleetLogWriter(str(path))
+    for doc in events:
+        writer.write(doc)
+    writer.close()
+    return str(path)
+
+
+class TestShardTaggedLogs:
+    def test_validates_and_summarizes_like_an_untagged_log(self,
+                                                             tmp_path):
+        tagged = sharded_run_events()
+        plain = [{k: v for k, v in doc.items() if k != "shard"}
+                 for doc in tagged]
+        tagged_log = write_log(tmp_path / "tagged.jsonl", tagged)
+        plain_log = write_log(tmp_path / "plain.jsonl", plain)
+        summary = summarize_fleet_log(read_fleet_log(tagged_log))
+        assert summary["completed"] == 1
+        assert summary["sim_cycles"] == 120_000
+        assert summary == summarize_fleet_log(read_fleet_log(plain_log))
+        assert "jobs: 1 completed" in format_fleet_summary(summary)
+
+    def test_tails_mid_run_and_after_finish(self, tmp_path):
+        events = sharded_run_events()
+        path = write_log(tmp_path / "fleet.jsonl", events[:5])
+        with open(path, "a") as fh:
+            fh.write('{"event":"job_fini')  # a record still in flight
+        monitor = replay_fleet_log(read_fleet_log(path,
+                                                  tolerate_partial=True))
+        assert monitor.running == {"k": 100_000}
+        assert monitor.completed == 0
+        line = monitor.render_progress()
+        assert "1 running" in line and "shard" not in line
+
+        path = write_log(tmp_path / "done.jsonl", events)
+        monitor = replay_fleet_log(read_fleet_log(path,
+                                                  tolerate_partial=True))
+        assert monitor.running == {}
+        assert monitor.completed == 1
+        assert monitor.summary()["sim_cycles"] == 120_000
 
 
 # ----------------------------------------------------------------------

@@ -71,8 +71,9 @@ class TestMesh:
     @given(st.integers(min_value=0, max_value=63),
            st.integers(min_value=0, max_value=63))
     def test_route_length_matches_hops(self, a, b):
-        # The sharded lookahead (repro.sim.windows) trusts hops() to be
-        # the true per-hop transit count of route(); pin them together.
+        # The queue fabric charges hops() per message while the link
+        # model walks route(); pin them together so both network
+        # models agree on distance.
         mesh = Mesh(64)
         route = mesh.route(a, b)
         assert route[0] == a and route[-1] == b

@@ -49,8 +49,9 @@ class TestTxnAssignment:
 
     def test_ids_are_node_striped(self):
         # Ids stride by n_nodes from node_id + 1: each node's sequence
-        # depends only on its own history (shard-invariant), and the
-        # allocating node is recoverable as (id - 1) % n_nodes.
+        # depends only on its own history (the attribution baseline
+        # pins the ids), and the allocating node is recoverable as
+        # (id - 1) % n_nodes.
         machine, _stats, collector = traced_run()
         n = machine.params.n_nodes
         per_node = {}

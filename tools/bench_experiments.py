@@ -246,57 +246,6 @@ def bench_drivers(preset: str) -> dict:
     }
 
 
-def bench_shard_scaling(preset: str,
-                        shard_counts=(1, 2, 4)) -> dict:
-    """Wall clock of the fig5 sweep under the sharded engine.
-
-    Runs the identical plan at each ``--shards`` count through a fresh
-    serial runner (``--jobs 1``, cache off), so the only variable is
-    the per-job shard count.  The result maps must be byte-identical
-    across counts — the bench doubles as an end-to-end equivalence
-    gate and aborts on divergence rather than record a meaningless
-    speedup.
-
-    Speedups are honest for *this host*: on a single-core runner the
-    sharded engine pays window-barrier IPC for no parallelism and the
-    ratio sits below 1.0; the ISSUE's >= 1.5x target needs >= 4 cores.
-    """
-    plan = PLANNERS["fig5"](**reportgen.PRESETS[preset]["fig5"])
-    baseline_doc = None
-    per_shards = {}
-    for shards in shard_counts:
-        total = 0.0
-        reps = 0
-        results = None
-        while total < MIN_BENCH_SECONDS and reps < MAX_BENCH_REPS:
-            runner = JobRunner(jobs=1, shards=shards)
-            t0 = time.perf_counter()
-            results = runner.run(plan)
-            total += time.perf_counter() - t0
-            reps += 1
-        doc = json.dumps(
-            {key: stats.to_json_dict() for key, stats in results.items()},
-            sort_keys=True)
-        if baseline_doc is None:
-            baseline_doc = doc
-        elif doc != baseline_doc:
-            raise SystemExit(
-                f"sharded fig5 sweep diverged from serial at "
-                f"--shards {shards}")
-        per_shards[str(shards)] = {"seconds": round(total / reps, 6),
-                                   "reps": reps}
-    serial_s = per_shards[str(shard_counts[0])]["seconds"]
-    for entry in per_shards.values():
-        entry["speedup_vs_serial"] = round(serial_s / entry["seconds"], 2)
-    return {
-        "preset": preset,
-        "config": "fig5 sweep, --jobs 1",
-        "jobs": len(plan),
-        "identical_to_serial": True,
-        "per_shards": per_shards,
-    }
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("output", nargs="?",
@@ -329,13 +278,6 @@ def main(argv=None) -> int:
           f"workers, {totals['parallel_speedup']}x), warm cache "
           f"{totals['warm_cache_s']}s ({totals['cache_speedup']}x)",
           flush=True)
-    print("shards: fig5 sweep at --shards 1/2/4...", flush=True)
-    shard_scaling = bench_shard_scaling(args.preset)
-    print("  " + ", ".join(
-        f"--shards {count} {entry['seconds']}s "
-        f"({entry['speedup_vs_serial']}x)"
-        for count, entry in shard_scaling["per_shards"].items()),
-        flush=True)
 
     doc = {
         "schema": "repro-bench-experiments/1",
@@ -353,7 +295,6 @@ def main(argv=None) -> int:
             "compiled_dispatch_speedup": round(speedup, 3),
         },
         "drivers": drivers,
-        "shards": shard_scaling,
     }
     with open(args.output, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
