@@ -14,18 +14,12 @@ rather than ``run_once``.  Three shapes:
 - **worker end-to-end**: a full 16-node ``WORKER`` run with no
   observers attached — the protocol-engine hot path (table dispatch,
   directory backend, network, caches) measured as wall-clock per
-  simulated machine, the gate for refactors of ``repro/core/`` —
-  parametrized over both protocol dispatch modes (the exec-compiled
-  specialized code and the interpreted reference engine), so the A/B
-  of ``repro/core/protocol/compile.py`` stays measurable under
-  pytest-benchmark's rounds.
+  simulated machine, the gate for refactors of ``repro/core/``.
 
 Record before/after numbers in ``docs/performance.md`` when touching
 ``Simulator.run``, the ``__slots__`` message/payload classes, or the
 coherence engine dispatch.
 """
-
-import pytest
 
 from repro.machine.machine import Machine
 from repro.machine.params import MachineParams
@@ -78,17 +72,14 @@ def test_engine_drain_with_probe(benchmark):
     assert seen  # the probe really ran
 
 
-def _worker_end_to_end(dispatch):
-    machine = Machine(MachineParams(n_nodes=16), protocol="DirnH5SNB",
-                      dispatch=dispatch)
+def _worker_end_to_end():
+    machine = Machine(MachineParams(n_nodes=16), protocol="DirnH5SNB")
     stats = machine.run(WorkerBenchmark(worker_set_size=8, iterations=2))
     return stats.run_cycles
 
 
-@pytest.mark.parametrize("dispatch", ["compiled", "interpreted"])
-def test_worker_end_to_end(benchmark, dispatch):
+def test_worker_end_to_end(benchmark):
     """Whole-machine throughput: 16-node WORKER through the coherence
-    engine with no observers attached, under each dispatch mode.  The
-    deterministic cycle count doubles as a correctness anchor for the
-    timing being benchmarked — and must not depend on the mode."""
-    assert benchmark(_worker_end_to_end, dispatch) == 24_812
+    engine with no observers attached.  The deterministic cycle count
+    doubles as a correctness anchor for the timing being benchmarked."""
+    assert benchmark(_worker_end_to_end) == 24_812

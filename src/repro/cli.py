@@ -51,7 +51,7 @@ from repro.exec import DEFAULT_CACHE_DIR, JobRunner, ResultCache
 from repro.core.spec import PAPER_SPECTRUM, spec_of
 from repro.common.errors import ConfigurationError
 from repro.machine.machine import Machine
-from repro.machine.params import DISPATCH_MODES, MachineParams
+from repro.machine.params import MachineParams
 from repro.obs import (
     AttributionReport,
     FleetMonitor,
@@ -116,23 +116,6 @@ def _duration(text: str) -> float:
     return value
 
 
-def _add_dispatch_arg(parser: argparse.ArgumentParser) -> None:
-    """``--dispatch``: protocol-engine execution mode.
-
-    Cycle-identical either way (gated by the equivalence fixture and
-    the report ``cmp`` in CI); ``interpreted`` is the readable
-    fallback when the table compiler is suspected.  Default ``None``
-    defers to the ``REPRO_DISPATCH`` environment variable, then to
-    compiled.
-    """
-    parser.add_argument(
-        "--dispatch", choices=DISPATCH_MODES, default=None,
-        help="protocol dispatch mode: exec-compiled per-table code "
-             "(default) or the interpreted reference engine; both "
-             "produce byte-identical results",
-    )
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -166,7 +149,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--check-invariants", action="store_true",
                      help="run under the continuous protocol invariant "
                           "checker; exit 1 on any violation")
-    _add_dispatch_arg(run)
     run.add_argument("--progress", action="store_true",
                      help="live progress line on stderr (sim-cycle "
                           "heartbeat; never changes results)")
@@ -188,7 +170,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          default="parallel")
     profile.add_argument("--sample-every", type=_positive_int, default=10_000,
                          metavar="CYCLES")
-    _add_dispatch_arg(profile)
 
     sweep = sub.add_parser("sweep",
                            help="run one app across the protocol spectrum")
@@ -243,7 +224,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              help="append every telemetry event to FILE "
                                   "as repro-fleetlog/1 JSONL (summarize "
                                   "later with 'repro status FILE')")
-    _add_dispatch_arg(experiments)
     experiments.add_argument("--prom-out", metavar="FILE", default=None,
                              help="write a Prometheus text-format "
                                   "snapshot of the final sweep status")
@@ -280,7 +260,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          metavar="TXN",
                          help="also print the span tree of transaction "
                               "TXN (stderr)")
-    _add_dispatch_arg(analyze)
 
     diff = sub.add_parser(
         "diff",
@@ -375,7 +354,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        default=None, metavar="CYCLES",
                        help="simulated cycles between job_progress "
                             "heartbeats")
-    _add_dispatch_arg(serve)
 
     check = sub.add_parser(
         "check",
@@ -391,9 +369,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="lint src/repro for nondeterminism "
                             "hazards")
     check.add_argument("--flow", action="store_true",
-                       help="dataflow analyses: translation "
-                            "validation of compiled dispatch, "
-                            "taint-based determinism lint")
+                       help="dataflow analysis: taint-based "
+                            "determinism lint")
     check.add_argument("--quick", action="store_true",
                        help="model-check only the two-node "
                             "configurations (seconds instead of "
@@ -435,8 +412,7 @@ def _machine_from(args: argparse.Namespace) -> Machine:
     )
     return Machine(params, protocol=args.protocol,
                    software=args.software,
-                   invalidation_mode=args.invalidation_mode,
-                   dispatch=args.dispatch)
+                   invalidation_mode=args.invalidation_mode)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -750,7 +726,6 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
             check_invariants=args.check_invariants,
             attribution=args.attribution,
             telemetry=monitor,
-            dispatch=args.dispatch,
         )
     except (ValueError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -892,7 +867,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             cache=None if args.no_cache else ResultCache(args.cache_dir),
             telemetry=monitor,
             heartbeat_every=args.heartbeat_every,
-            dispatch=args.dispatch,
         )
     except (ValueError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -935,7 +909,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    from repro.core.protocol.compile import ensure_builtin_tables_compiled
     from repro.verify.flow import run_flow
     from repro.verify.lint import run_lint
     from repro.verify.modelcheck import (
@@ -961,10 +934,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
                             else MAX_STATES),
                 coverage=not args.quick))
         if run_linter:
-            # Populate the generated-source registry so the linter
-            # always sees the compiled dispatch modules, even in a
-            # process that never constructed a machine.
-            ensure_builtin_tables_compiled()
             report.extend(run_lint())
         if run_flow_passes:
             report.extend(run_flow())

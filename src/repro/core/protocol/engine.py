@@ -1,7 +1,7 @@
 """The table-driven home protocol engine.
 
 One :class:`HomeProtocolEngine` executes every protocol in the paper's
-spectrum: it compiles its backend's
+spectrum: it resolves its backend's
 :class:`~repro.core.protocol.table.ProtocolTable` into a per-event,
 per-state dispatch structure at construction time, then interprets
 incoming messages against it.  All protocol *behaviour* lives in the
@@ -16,23 +16,11 @@ directory states and the declared ``next_state`` label — the raw
 material of the continuous invariant checker
 (:class:`~repro.core.protocol.invariants.InvariantChecker`).  When
 detached the probe costs one attribute load and a ``None`` check.
-
-Two dispatch modes execute the same table (selected by
-:func:`~repro.machine.params.resolve_dispatch`; cycle-identical by
-construction and by the equivalence gate):
-
-- ``compiled`` (default): :mod:`repro.core.protocol.compile` generates
-  specialized straight-line dispatch code for the table and the
-  engine's :meth:`~HomeProtocolEngine.handle` is shadowed by the
-  compiled closure (probe-off variant until a bus attaches);
-- ``interpreted``: the original tuple-walking :meth:`handle` below —
-  the readable reference semantics and the fallback when the compiler
-  is suspected.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.core.protocol.backends import (
     DirectoryBackend,
@@ -40,8 +28,6 @@ from repro.core.protocol.backends import (
     LimitedPointerBackend,
     SoftwareOnlyBackend,
 )
-from repro.core.protocol.compile import bind_table
-from repro.core.protocol.table import ProtocolTable
 from repro.core.spec import ProtocolSpec
 from repro.common.errors import ProtocolStateError
 from repro.common.types import DirState
@@ -58,7 +44,7 @@ __all__ = ["HomeProtocolEngine", "build_home_engine"]
 class HomeProtocolEngine:
     """Executes a protocol table against a directory backend.
 
-    The compiled dispatch maps each event kind to ``(create, strict,
+    The per-event plan maps each event kind to ``(create, strict,
     by_state, when_missing)``: whether the entry is created on lookup,
     whether an unmatched event is an error, the per-state row lists
     (wildcard rows merged in table order), and the rows applicable when
@@ -67,32 +53,30 @@ class HomeProtocolEngine:
     """
 
     def __init__(self, node: "Node", spec: ProtocolSpec,
-                 backend: DirectoryBackend,
-                 table: Optional[ProtocolTable] = None,
-                 dispatch: Optional[str] = None) -> None:
+                 backend: DirectoryBackend) -> None:
         self.node = node
         self.spec = spec
         self.backend = backend
-        self.table = backend.TABLE if table is None else table
+        table = backend.TABLE
         self._dispatch: Dict[str, tuple] = {}
-        for event, policy in self.table.policies.items():
-            rows = self.table.rows_for(event)
-            compiled = []
+        for event, policy in table.policies.items():
+            rows = table.rows_for(event)
+            resolved = []
             for row in rows:
                 guard = (None if row.guard is None
                          else getattr(backend, row.guard))
-                compiled.append((row.states, guard,
+                resolved.append((row.states, guard,
                                  getattr(backend, row.action), row))
             by_state: Dict[DirState, Tuple[tuple, ...]] = {}
             for state in DirState:
                 by_state[state] = tuple(
                     (guard, action, row)
-                    for states, guard, action, row in compiled
+                    for states, guard, action, row in resolved
                     if states is None or state in states
                 )
             when_missing = tuple(
                 (guard, action, row)
-                for states, guard, action, row in compiled
+                for states, guard, action, row in resolved
                 if states is None
             )
             self._dispatch[event] = (
@@ -101,27 +85,6 @@ class HomeProtocolEngine:
                 by_state,
                 when_missing,
             )
-
-        # Imported here, not at module level: repro.machine imports the
-        # protocol package back (node -> engine), so a top-level import
-        # would be circular.
-        from repro.machine.params import resolve_dispatch
-
-        machine = getattr(node, "machine", None)
-        if dispatch is None:
-            dispatch = getattr(machine, "dispatch", None)
-        self.dispatch = resolve_dispatch(dispatch)
-        self._handle_probe: Optional[Callable] = None
-        if self.dispatch == "compiled":
-            fast, probe = bind_table(self.table, backend, node)
-            self._handle_probe = probe
-            # Shadow the class method with the specialized closure; the
-            # probe-off variant pays zero per-message observer checks,
-            # so it is only installed while no bus is attached.
-            # getattr: during Machine.__init__ the nodes (and their
-            # engines) are built before the ``obs`` attribute exists.
-            attached = getattr(machine, "obs", None) is not None
-            self.handle = probe if attached else fast  # type: ignore[method-assign]
 
     # ------------------------------------------------------------------
     # Compatibility surface (tests and the machine address the home
@@ -141,18 +104,6 @@ class HomeProtocolEngine:
     def entry_for(self, block: int):
         """The backend's directory entry for ``block``."""
         return self.backend.entry_for(block)
-
-    def obs_attached(self) -> None:
-        """Switch compiled dispatch to the probe-on handler variant.
-
-        Called by ``Machine.observe()`` when the event bus is created.
-        The probe variant still checks the ``transition`` channel for
-        subscribers per message (matching the interpreter), so it is
-        always safe; this swap only exists so the *detached* fast
-        variant can omit that check entirely.  No-op when interpreting.
-        """
-        if self._handle_probe is not None:
-            self.handle = self._handle_probe  # type: ignore[method-assign]
 
     # ------------------------------------------------------------------
     # Dispatch

@@ -161,8 +161,7 @@ def job_key(job: SimJob) -> str:
 # ----------------------------------------------------------------------
 
 def execute_job(job: SimJob, check_invariants: bool = False,
-                telemetry: Optional["FleetTelemetry"] = None,
-                dispatch: Optional[str] = None) -> RunStats:
+                telemetry: Optional["FleetTelemetry"] = None) -> RunStats:
     """Run one job to completion on a fresh machine.
 
     Module-level (not a closure) so worker processes can unpickle and
@@ -172,11 +171,8 @@ def execute_job(job: SimJob, check_invariants: bool = False,
     identical either way) and any violation raises
     :class:`~repro.core.protocol.invariants.InvariantViolation`.
 
-    ``check_invariants``, ``telemetry`` and ``dispatch`` are
-    execution-mode knobs, not part of the job spec, so they never
-    change a job's cache key (``dispatch`` selects the protocol
-    engine's execution strategy — compiled or interpreted — and is
-    cycle-identical by the equivalence gate).
+    ``check_invariants`` and ``telemetry`` are execution-mode knobs,
+    not part of the job spec, so they never change a job's cache key.
     A :class:`~repro.obs.fleet.FleetTelemetry` streams job lifecycle
     events (started / sim-cycle heartbeats / finished with wall time
     and peak RSS) to the parent; like every observer it reads state and
@@ -190,7 +186,6 @@ def execute_job(job: SimJob, check_invariants: bool = False,
         software=job.software,
         track_worker_sets=job.track_worker_sets,
         invalidation_mode=job.invalidation_mode,
-        dispatch=dispatch,
     )
     checker = None
     if check_invariants:

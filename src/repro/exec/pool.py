@@ -154,16 +154,10 @@ class JobRunner:
                  check_invariants: bool = False,
                  attribution: bool = False,
                  telemetry: Optional["FleetMonitor"] = None,
-                 heartbeat_every: Optional[int] = None,
-                 dispatch: Optional[str] = None) -> None:
+                 heartbeat_every: Optional[int] = None) -> None:
         self.n_workers = resolve_jobs(jobs)
         self.cache = cache
         self.check_invariants = check_invariants
-        #: protocol-engine dispatch mode for executed jobs ("compiled"
-        #: or "interpreted"; None = resolve from env/default).  An
-        #: execution knob like check_invariants: cycle-identical, so it
-        #: never enters cache keys and cached results stay valid.
-        self.dispatch = dispatch
         self.attribution = attribution
         self.telemetry = telemetry
         if heartbeat_every is None:
@@ -248,8 +242,7 @@ class JobRunner:
                 heartbeat_every=self.heartbeat_every)
         return {
             key: execute_job(job, check_invariants=self.check_invariants,
-                             telemetry=worker_telemetry,
-                             dispatch=self.dispatch)
+                             telemetry=worker_telemetry)
             for key, job in pending.items()
         }
 
@@ -265,8 +258,7 @@ class JobRunner:
             with ProcessPoolExecutor(max_workers=workers) as executor:
                 futures = {
                     key: executor.submit(execute_job, pending[key],
-                                         self.check_invariants,
-                                         None, self.dispatch)
+                                         self.check_invariants)
                     for key in keys
                 }
                 # Collect in plan order; completion order is irrelevant
@@ -305,8 +297,7 @@ class JobRunner:
                     futures = {
                         key: executor.submit(_execute_job_in_worker,
                                              pending[key],
-                                             self.check_invariants,
-                                             self.dispatch)
+                                             self.check_invariants)
                         for key in keys
                     }
                     return {key: futures[key].result() for key in keys}
@@ -327,8 +318,7 @@ def _init_worker_telemetry(queue, heartbeat_every) -> None:
     _WORKER_HEARTBEAT_EVERY = heartbeat_every
 
 
-def _execute_job_in_worker(job: SimJob, check_invariants: bool,
-                           dispatch: Optional[str] = None) -> RunStats:
+def _execute_job_in_worker(job: SimJob, check_invariants: bool) -> RunStats:
     """Worker-process entry point: execute_job + telemetry, if wired."""
     telemetry = None
     if _WORKER_TELEMETRY_QUEUE is not None:
@@ -338,19 +328,18 @@ def _execute_job_in_worker(job: SimJob, check_invariants: bool,
             _WORKER_TELEMETRY_QUEUE.put,
             heartbeat_every=_WORKER_HEARTBEAT_EVERY or DEFAULT_HEARTBEAT)
     return execute_job(job, check_invariants=check_invariants,
-                       telemetry=telemetry, dispatch=dispatch)
+                       telemetry=telemetry)
 
 
-def _execute_with_monitor(job: SimJob, monitor, heartbeat_every: int,
-                          dispatch: Optional[str]) -> RunStats:
+def _execute_with_monitor(job: SimJob, monitor,
+                          heartbeat_every: int) -> RunStats:
     """In-process execution with telemetry delivered straight to the
     monitor (thread-pool farms; mirrors JobRunner's serial path)."""
     from repro.obs.fleet import FleetTelemetry
 
     telemetry = FleetTelemetry(monitor.handle,
                                heartbeat_every=heartbeat_every)
-    return execute_job(job, check_invariants=False, telemetry=telemetry,
-                       dispatch=dispatch)
+    return execute_job(job, check_invariants=False, telemetry=telemetry)
 
 
 class Submission(NamedTuple):
@@ -400,7 +389,6 @@ class FarmExecutor:
                  attribution: bool = False,
                  telemetry: Optional["FleetMonitor"] = None,
                  heartbeat_every: Optional[int] = None,
-                 dispatch: Optional[str] = None,
                  worker_pool: str = "process") -> None:
         import threading
 
@@ -412,7 +400,6 @@ class FarmExecutor:
         self.cache = cache
         self.attribution = attribution
         self.telemetry = telemetry
-        self.dispatch = dispatch
         self.worker_pool = worker_pool
         if heartbeat_every is None:
             from repro.obs.fleet import DEFAULT_HEARTBEAT
@@ -495,14 +482,11 @@ class FarmExecutor:
         if self.worker_pool == "thread":
             if self.telemetry is not None:
                 return pool.submit(_execute_with_monitor, job,
-                                   self.telemetry, self.heartbeat_every,
-                                   self.dispatch)
-            return pool.submit(execute_job, job, False, None,
-                               self.dispatch)
+                                   self.telemetry, self.heartbeat_every)
+            return pool.submit(execute_job, job)
         if self._queue is not None:
-            return pool.submit(_execute_job_in_worker, job, False,
-                               self.dispatch)
-        return pool.submit(execute_job, job, False, None, self.dispatch)
+            return pool.submit(_execute_job_in_worker, job, False)
+        return pool.submit(execute_job, job)
 
     # ------------------------------------------------------------------
     # Submission

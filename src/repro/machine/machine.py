@@ -32,7 +32,7 @@ from repro.machine.barrier import BarrierManager
 from repro.machine.heap import SharedHeap
 from repro.machine.sync import LockManager, ReductionManager
 from repro.machine.node import Node
-from repro.machine.params import MachineParams, resolve_dispatch
+from repro.machine.params import MachineParams
 from repro.network.detailed import DetailedFabric
 from repro.network.fabric import Fabric
 from repro.network.topology import Mesh
@@ -76,7 +76,6 @@ class Machine:
         invalidation_mode: str = "parallel",
         network_model: str = "queues",
         migratory_detection: bool = False,
-        dispatch: Optional[str] = None,
     ) -> None:
         self.params = params if params is not None else MachineParams()
         self.spec = spec_of(protocol)
@@ -99,13 +98,6 @@ class Machine:
             self.spec.needs_software
             and self.spec.ack_mode is AckMode.SOFTWARE
         )
-
-        #: protocol-engine dispatch mode ("compiled" or "interpreted");
-        #: an execution knob, not a machine parameter — both modes are
-        #: cycle-identical, so it never enters experiment cache keys.
-        #: Resolved before the nodes exist: each node's home engine
-        #: reads it at construction.
-        self.dispatch = resolve_dispatch(dispatch)
 
         self.sim = Simulator()
         self.mesh = Mesh(self.params.n_nodes)
@@ -292,10 +284,6 @@ class Machine:
             self.obs = EventBus()
             self.fabric.obs = self.obs
             self.sim.probe = self.obs.advance
-            # Compiled home engines run a probe-free handler while no
-            # bus exists; swap them to the probe-on variant now.
-            for node in self.nodes:
-                node.home.obs_attached()
         return self.obs
 
     def note_grant(self, block: int, node: int,

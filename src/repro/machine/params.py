@@ -13,45 +13,11 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import os
 
 from repro.common.errors import ConfigurationError
 
 #: Bytes per 32-bit word.  Addresses throughout the simulator count words.
 WORD_BYTES = 4
-
-#: Protocol-engine dispatch modes: ``compiled`` exec-compiles each
-#: transition table into specialized per-(event, state) code at machine
-#: construction (:mod:`repro.core.protocol.compile`); ``interpreted``
-#: walks the ``(guard, action, row)`` tuples directly.  Both produce
-#: byte-identical cycle counts (gated by the equivalence fixture), so
-#: the mode is an *execution* knob like ``check_invariants`` — it is
-#: deliberately NOT a :class:`MachineParams` field and never enters
-#: experiment cache keys.
-DISPATCH_MODES = ("compiled", "interpreted")
-DEFAULT_DISPATCH = "compiled"
-
-#: Environment override consulted when no explicit mode is given —
-#: lets CI force ``REPRO_DISPATCH=interpreted`` across a whole job
-#: without threading a flag through every entry point.
-DISPATCH_ENV = "REPRO_DISPATCH"
-
-
-def resolve_dispatch(value: "str | None" = None) -> str:
-    """Resolve the protocol dispatch mode.
-
-    Precedence: explicit ``value`` (CLI/constructor), then the
-    ``REPRO_DISPATCH`` environment variable, then
-    :data:`DEFAULT_DISPATCH`.
-    """
-    if value is None:
-        value = os.environ.get(DISPATCH_ENV) or DEFAULT_DISPATCH
-    if value not in DISPATCH_MODES:
-        raise ConfigurationError(
-            f"unknown dispatch mode {value!r}; expected one of "
-            f"{', '.join(DISPATCH_MODES)}"
-        )
-    return value
 
 
 @dataclasses.dataclass(frozen=True)

@@ -1220,13 +1220,13 @@ def home_class_for(cfg: ModelConfig):
 
 
 # ----------------------------------------------------------------------
-# Table interpreter (mirrors HomeProtocolEngine's compiled dispatch)
+# Table interpreter (mirrors HomeProtocolEngine's per-event plan)
 # ----------------------------------------------------------------------
 
 
 class CompiledTable:
-    """Per-event/per-state dispatch, compiled exactly as the engine
-    compiles it: wildcard rows merged in table order, ``when_missing``
+    """Per-event/per-state dispatch, built exactly as the engine
+    builds its plan: wildcard rows merged in table order, ``when_missing``
     holding the wildcard rows for get-policy lookups that find no
     entry, first matching guard wins."""
 

@@ -11,10 +11,9 @@ and loop units end their block; the block's successor order is
 The graph is deliberately coarse where the analyses do not need
 precision: ``try`` bodies are modeled as "handler may run after any
 prefix" by giving the body's entry *and* exit an edge into each
-handler, and ``with`` is inlined.  Clients: the taint determinism
-analysis (worklist dataflow over blocks, solved by
-:func:`solve_forward`) and translation validation (the
-all-paths-terminate check on generated dispatch handlers).
+handler, and ``with`` is inlined.  The client is the taint
+determinism analysis: worklist dataflow over blocks, solved by
+:func:`solve_forward`.
 """
 
 from __future__ import annotations

@@ -346,8 +346,7 @@ class _Analyzer:
         if isinstance(func, ast.Name) and func.id in ("exec", "eval"):
             self._flag(node, "RND13",
                        f"{func.id}() runs code this dataflow analysis "
-                       f"cannot see — register the generated text and "
-                       f"suppress with a reason")
+                       f"cannot see — suppress with a reason")
 
     # -- per-function driver -------------------------------------------
 
@@ -428,10 +427,7 @@ def _default_root() -> Tuple[str, str]:
 
 
 def run_taint(root: Optional[str] = None) -> Report:
-    """Taint-analyze the package tree plus the generated dispatch
-    modules; report flow findings."""
-    from repro.core.protocol import compile as compmod
-
+    """Taint-analyze the package tree; report flow findings."""
     if root is None:
         root, rel_to = _default_root()
     else:
@@ -442,13 +438,7 @@ def run_taint(root: Optional[str] = None) -> Report:
     for label, text in _iter_tree(root, rel_to):
         files += 1
         report.findings.extend(taint_source(text, label).findings)
-    compmod.ensure_builtin_tables_compiled()
-    generated = compmod.generated_sources()
-    for filename in sorted(generated):
-        report.findings.extend(
-            taint_source(generated[filename], filename).findings)
     report.stats["taint.files"] = files
-    report.stats["taint.generated"] = len(generated)
     report.stats["taint.findings"] = len(report.findings)
     return report
 

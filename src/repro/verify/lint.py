@@ -27,10 +27,7 @@ RND04     ``dict.popitem()`` with no arguments (LIFO on insertion
 RND05     ``id()`` used anywhere — object identity as an ordering or
           dictionary key is address-space dependent
 RND06     ``exec``/``eval`` — dynamic code is invisible to this AST
-          pass, so it must carry a suppression *and* register its
-          generated text for linting (see below); also flags a
-          registered generated source missing the
-          ``# repro: generated-by(compile)`` header
+          pass, so it must carry a suppression with a reason
 RND00     a suppression comment with an empty reason
 ========  ==========================================================
 
@@ -42,18 +39,6 @@ line::
 The reason is mandatory; an empty ``allow-nondet()`` is itself a
 finding (RND00).  Suppressions are deliberate, grep-able admissions —
 the linter is a gate, not a style preference.
-
-**Generated code.**  The protocol table compiler
-(:mod:`repro.core.protocol.compile`) builds dispatch functions with
-``exec``.  Rather than trusting its suppression blindly, the linter
-closes the loop: every generated module is registered under a
-deterministic pseudo-filename with a ``# repro: generated-by(compile)``
-header, and :func:`run_lint` lints the registered *text* with exactly
-the rules applied to checked-in files (the built-in tables are
-force-generated so the gate does not depend on a machine having been
-constructed first).  A nondeterministic construct that sneaks into
-generated source is therefore caught the same way it would be in
-hand-written source — ``tests/test_lint.py`` proves it by mutation.
 """
 
 from __future__ import annotations
@@ -61,7 +46,7 @@ from __future__ import annotations
 import ast
 import os
 import re
-from typing import Dict, List, Optional, Set
+from typing import List, Optional, Set
 
 from repro.verify.report import Finding, Report
 
@@ -253,9 +238,7 @@ class _Linter(ast.NodeVisitor):
             if node.func.id in ("exec", "eval"):
                 self._flag(node, "RND06",
                            f"{node.func.id}() hides code from this "
-                           f"lint — register the generated text (see "
-                           f"repro.core.protocol.compile) and suppress "
-                           f"with a reason")
+                           f"lint — suppress with a reason")
         if isinstance(node.func, ast.Attribute) \
                 and node.func.attr == "popitem" and not node.args \
                 and not node.keywords:
@@ -373,46 +356,8 @@ def lint_tree(root: str, rel_to: Optional[str] = None) -> List[Finding]:
     return findings
 
 
-def lint_generated_sources() -> "tuple[List[Finding], int]":
-    """Lint every exec-compiled protocol dispatch module.
-
-    Generates the built-in tables directly (so the gate holds without a
-    machine ever having been constructed), merges in whatever else this
-    process compiled via the registry, checks each module for the
-    ``# repro: generated-by(compile)`` header, and runs the full lint
-    rule set over the generated text.  Returns ``(findings, count)``.
-    """
-    from repro.core.protocol import compile as protocol_compile
-    from repro.core.protocol.table import (
-        HARDWARE_TABLE,
-        SOFTWARE_ONLY_TABLE,
-    )
-
-    sources: Dict[str, str] = {
-        protocol_compile.generated_filename(table):
-            protocol_compile.generate_source(table)
-        for table in (HARDWARE_TABLE, SOFTWARE_ONLY_TABLE)
-    }
-    sources.update(protocol_compile.generated_sources())
-    findings: List[Finding] = []
-    for filename in sorted(sources):
-        text = sources[filename]
-        if not text.startswith(protocol_compile.GENERATED_HEADER):
-            findings.append(Finding(
-                "lint", "RND06", f"{filename}:1",
-                "generated module lacks the "
-                "'# repro: generated-by(compile)' header"))
-        findings.extend(lint_source(text, filename))
-    return findings, len(sources)
-
-
 def run_lint(root: Optional[str] = None) -> Report:
-    """Lint the installed ``repro`` package source tree.
-
-    Also lints the exec-compiled protocol dispatch modules through
-    :func:`lint_generated_sources` — generated code passes the same
-    gate as checked-in code.
-    """
+    """Lint the installed ``repro`` package source tree."""
     if root is None:
         import repro
 
@@ -421,13 +366,10 @@ def run_lint(root: Optional[str] = None) -> Report:
     report = Report()
     report.passes.append("lint")
     report.findings.extend(lint_tree(root, rel_to=rel_root))
-    generated, n_generated = lint_generated_sources()
-    report.findings.extend(generated)
     files = 0
     for dirpath, dirnames, filenames in os.walk(root):
         dirnames.sort()
         files += sum(1 for n in sorted(filenames) if n.endswith(".py"))
     report.stats["lint.files"] = files
-    report.stats["lint.generated"] = n_generated
     report.stats["lint.findings"] = len(report.findings)
     return report

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, Iterator, List
 
 from repro.machine.machine import Machine
@@ -58,6 +59,50 @@ def run_script(machine: Machine, scripts: Dict[int, List[Op]],
 def data_block(machine: Machine, home: int) -> int:
     """Allocate one shared block on ``home``; returns its address."""
     return machine.heap.alloc_block(home)
+
+
+def walk_table(home, message) -> None:
+    """Apply ``message`` by reading the home's protocol table directly.
+
+    A reference for :meth:`~repro.core.protocol.engine.
+    HomeProtocolEngine.handle`, which compiles ``backend.TABLE`` into a
+    per-event, per-state plan once at construction.  This walk instead
+    interprets the declared rows on every delivery: look up the event's
+    policy, then fire the first row, in table order, whose state set
+    matches (wildcards also match a missing entry) and whose guard
+    passes.  It has no ``"transition"`` probe, so use it on machines
+    with no observer bus attached.  :func:`interpret_tables` installs
+    it on every node of a machine.
+    """
+    backend = home.backend
+    table = backend.TABLE
+    kind = message.kind
+    policy = table.policies.get(kind)
+    if policy is None:
+        backend.unknown_event(kind)
+        return
+    block = message.payload.block
+    src = message.src
+    if policy.lookup == "create":
+        entry = backend.entry_for(block)
+    else:
+        entry = backend.entries.get(block)
+    before = None if entry is None else entry.state
+    for row in table.rows_for(kind):
+        if row.states is not None and before not in row.states:
+            continue
+        if row.guard is None or getattr(backend, row.guard)(entry, src,
+                                                            block):
+            getattr(backend, row.action)(entry, src, block)
+            return
+    if policy.fallback == "error":
+        backend.no_rule(kind, entry, src, block)
+
+
+def interpret_tables(machine: Machine) -> None:
+    """Route every node's home messages through :func:`walk_table`."""
+    for node in machine.nodes:
+        node.home.handle = functools.partial(walk_table, node.home)
 
 
 def check_coherence(machine: Machine) -> List[str]:

@@ -34,7 +34,6 @@ MODULES = [
     "repro.core.messages",
     "repro.core.protocol",
     "repro.core.protocol.backends",
-    "repro.core.protocol.compile",
     "repro.core.protocol.engine",
     "repro.core.protocol.invariants",
     "repro.core.protocol.render",
@@ -84,7 +83,6 @@ MODULES = [
     "repro.verify.flow",
     "repro.verify.flow.cfg",
     "repro.verify.flow.taint",
-    "repro.verify.flow.transval",
     "repro.verify.lint",
     "repro.verify.modelcheck",
     "repro.verify.report",

@@ -20,8 +20,7 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "data",
 
 def _golden_report() -> Report:
     report = Report()
-    report.passes.extend(
-        ["modelcheck", "lint", "transval", "shardsafe", "taint"])
+    report.passes.extend(["modelcheck", "lint", "taint"])
     report.findings.append(Finding(
         "modelcheck", "safety", "hardware row 5 (rreq/reply_busy)",
         "two writable copies reachable",
@@ -31,7 +30,6 @@ def _golden_report() -> Report:
         "for loop iterates an unordered set-derived value"))
     report.stats["modelcheck.states_total"] = 241056
     report.stats["lint.files"] = 87
-    report.stats["shardsafe.inferred_unsafe"] = ["evolve"]
     return report
 
 
@@ -63,15 +61,18 @@ def test_extend_merges_passes_without_duplicates():
     assert a.passes == ["modelcheck", "lint", "taint"]
 
 
-def test_live_document_round_trips_with_the_same_shape():
+def test_live_document_round_trips_with_the_same_shape(tmp_path):
     """A real (cheap) pass produces a document with exactly the
     golden's top-level shape and a clean exit."""
-    from repro.verify.flow.transval import run_transval
+    from repro.verify.flow.taint import run_taint
 
-    doc = json.loads(run_transval().dump_json())
+    (tmp_path / "clean.py").write_text(
+        "def f(xs):\n    return sorted(set(xs))\n")
+    doc = json.loads(run_taint(str(tmp_path)).dump_json())
     assert doc["schema"] == "repro-check/1"
     assert set(doc) == {"schema", "clean", "exit_code", "passes",
                         "findings", "stats"}
     assert doc["clean"] is True
     assert doc["exit_code"] == 0
-    assert doc["passes"] == ["transval"]
+    assert doc["passes"] == ["taint"]
+    assert doc["stats"]["taint.files"] == 1

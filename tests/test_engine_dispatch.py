@@ -1,11 +1,12 @@
-"""Dispatch edge cases, identical under both engine modes.
+"""Dispatch edge cases, identical under both readings of the table.
 
-The protocol engine has two executions of the same table — the
-interpreted reference walk and the exec-compiled specialized code
-(:mod:`repro.core.protocol.compile`).  These tests pin the corners of
-row *selection* where the two implementations could plausibly diverge,
-parametrized over all three directory backends and both dispatch
-modes:
+:meth:`~repro.core.protocol.engine.HomeProtocolEngine.handle` runs a
+per-event, per-state plan compiled from the protocol table once at
+construction (``compiled``); :func:`tests.helpers.walk_table` interprets
+the declared rows on every delivery (``interpreted``).  These tests pin
+the corners of row *selection* where building the plan could plausibly
+diverge from the table, parametrized over all three directory backends
+and both readings:
 
 - ``when_missing`` selection: a ``get``-policy event for a block with
   no directory entry sees only the wildcard rows (and an ``ignore``
@@ -27,6 +28,7 @@ from repro.core.messages import ProtoPayload
 from repro.machine.machine import Machine
 from repro.machine.params import MachineParams
 from repro.network.fabric import Message
+from tests.helpers import interpret_tables
 
 #: One protocol per backend class: FullMapBackend, LimitedPointerBackend
 #: (hardware table), SoftwareOnlyBackend (software-only table).
@@ -42,8 +44,9 @@ DISPATCH_PARAMS = ["compiled", "interpreted"]
 
 def _home(backend: str, dispatch: str):
     """A 4-node machine's node 0 plus a data block it is home for."""
-    machine = Machine(MachineParams(n_nodes=4),
-                      protocol=PROTOCOLS[backend], dispatch=dispatch)
+    machine = Machine(MachineParams(n_nodes=4), protocol=PROTOCOLS[backend])
+    if dispatch == "interpreted":
+        interpret_tables(machine)
     node = machine.nodes[0]
     block = machine.params.code_region_blocks + 8
     assert machine.params.home_of_block(block) == 0

@@ -245,7 +245,7 @@ def test_fleet_suppressions_are_load_bearing():
 
 
 # ----------------------------------------------------------------------
-# RND06: dynamic code and the generated-source registry
+# RND06: dynamic code
 # ----------------------------------------------------------------------
 
 def test_bare_exec_flagged():
@@ -256,53 +256,3 @@ def test_bare_exec_flagged():
 def test_bare_eval_flagged():
     findings = lint_source("value = eval(text)\n")
     assert [f.code for f in findings] == ["RND06"]
-
-
-def test_generated_dispatch_modules_are_lint_clean():
-    from repro.verify.lint import lint_generated_sources
-
-    findings, count = lint_generated_sources()
-    assert count >= 2  # the two built-in tables, at minimum
-    assert findings == [], [f.message for f in findings]
-
-
-def test_generated_header_required():
-    """A registered module without the generated-by header is RND06."""
-    from unittest import mock
-
-    from repro.core.protocol import compile as protocol_compile
-    from repro.verify.lint import lint_generated_sources
-
-    with mock.patch.object(
-            protocol_compile, "generated_sources",
-            return_value={"<repro.core.protocol.compile:bogus>":
-                          "x = 1\n"}):
-        findings, _ = lint_generated_sources()
-    assert any(f.code == "RND06" and "header" in f.message
-               for f in findings)
-
-
-def test_nondeterminism_in_generated_source_is_caught():
-    """Mutation check on the table compiler's output: inject a wall
-    clock read into the generated text and the registry lint must flag
-    it exactly as it would in checked-in source."""
-    from unittest import mock
-
-    from repro.core.protocol import compile as protocol_compile
-    from repro.core.protocol.table import HARDWARE_TABLE
-    from repro.verify.lint import lint_generated_sources
-
-    source = protocol_compile.generate_source(HARDWARE_TABLE)
-    needle = "kind = message.kind"
-    assert needle in source
-    mutated = source.replace(
-        needle, "kind = message.kind\n        import time\n"
-        "        t = time.time()", 1)
-    compile(mutated, "<mutated>", "exec")  # still valid python
-    with mock.patch.object(
-            protocol_compile, "generated_sources",
-            return_value={protocol_compile.generated_filename(
-                HARDWARE_TABLE): mutated}):
-        findings, _ = lint_generated_sources()
-    assert any(f.code == "RND02" and "time.time" in f.message
-               for f in findings), [f.message for f in findings]

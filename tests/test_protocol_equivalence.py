@@ -9,11 +9,11 @@ behaviour-preserving across the whole spectrum — full-map, limited
 pointers with software extension, LACK/ACK variants, broadcast, and the
 software-only directory, plus the Section 7 enhancement paths.
 
-Every configuration runs under *both* dispatch modes — the exec-
-compiled per-table code and the interpreted reference engine
-(:mod:`repro.core.protocol.compile`) — so the fixture simultaneously
-gates the table refactor and the table compiler: compiled dispatch
-must match the interpreter cycle-for-cycle, digest-for-digest.
+Every configuration runs under *both* readings of the table — the
+engine's per-event plan, compiled from the table at construction, and
+:func:`tests.helpers.walk_table`, which interprets the declared rows on
+every delivery — so the fixture also gates the plan against the table:
+both must match the pinned runs cycle-for-cycle, digest-for-digest.
 
 Regenerate (only for *intentional* behaviour changes) with::
 
@@ -31,6 +31,7 @@ from repro.machine.machine import Machine
 from repro.machine.params import MachineParams
 from repro.workloads.aq import AdaptiveQuadrature
 from repro.workloads.worker import WorkerBenchmark
+from tests.helpers import interpret_tables
 
 FIXTURE = Path(__file__).parent / "data" / "protocol_equivalence.json"
 
@@ -53,8 +54,9 @@ def _workload_for(config_id: str):
 )
 def test_byte_identical_with_prerefactor_controllers(entry, dispatch):
     kwargs = dict(entry["machine"])
-    machine = Machine(MachineParams(n_nodes=_FIXTURE["n_nodes"]),
-                      dispatch=dispatch, **kwargs)
+    machine = Machine(MachineParams(n_nodes=_FIXTURE["n_nodes"]), **kwargs)
+    if dispatch == "interpreted":
+        interpret_tables(machine)
     stats = machine.run(_workload_for(entry["id"]))
     assert stats.run_cycles == entry["run_cycles"], entry["id"]
     assert stats.total_traps == entry["total_traps"], entry["id"]

@@ -112,55 +112,38 @@ MAX_BENCH_REPS = 50
 WORKER_MIN_SECONDS = 2.5
 
 
-def _worker_reference_once(dispatch: str) -> "tuple[float, int]":
+def _worker_reference_once() -> "tuple[float, int]":
     """One timed WORKER reference run; (seconds, run_cycles)."""
     t0 = time.perf_counter()
-    machine = Machine(MachineParams(n_nodes=16), protocol="DirnH5SNB",
-                      dispatch=dispatch)
+    machine = Machine(MachineParams(n_nodes=16), protocol="DirnH5SNB")
     stats = machine.run(WorkerBenchmark(worker_set_size=8, iterations=4))
     return time.perf_counter() - t0, stats.run_cycles
 
 
-def bench_worker_reference() -> "tuple[dict, dict]":
-    """Wall-clock of a reference software-heavy WORKER simulation,
-    A/B'd across both dispatch modes.
+def bench_worker_reference() -> dict:
+    """Wall-clock of a reference software-heavy WORKER simulation.
 
-    Repetitions *interleave* the two modes (alternating which goes
-    first) until each has accumulated :data:`WORKER_MIN_SECONDS` of
-    wall clock, and each mode reports its fastest repetition.  Running
-    one mode's repetitions back-to-back before the other's — the
-    obvious structure — is confounded on a busy host: wall clock
-    drifts over the benchmark's lifetime, so whichever mode runs later
-    inherits the drift as a fake (dis)advantage.  Interleaving spreads
-    the drift evenly; best-of-many then estimates each mode's
-    achievable rate.  (The first compiled repetition also carries the
-    one-time table-compilation cost, which best-of amortises away.)
+    Repeats until :data:`WORKER_MIN_SECONDS` of wall clock has
+    accumulated and reports the fastest repetition: best-of-many
+    estimates the achievable rate on a busy host.
     """
-    modes = ("compiled", "interpreted")
-    best: dict = {mode: None for mode in modes}
-    totals = {mode: 0.0 for mode in modes}
+    best = None
+    total = 0.0
     cycles = 0
-    pairs = 0
-    while (min(totals.values()) < WORKER_MIN_SECONDS
-           and pairs < MAX_BENCH_REPS):
-        order = modes if pairs % 2 == 0 else tuple(reversed(modes))
-        for mode in order:
-            elapsed, cycles = _worker_reference_once(mode)
-            totals[mode] += elapsed
-            if best[mode] is None or elapsed < best[mode]:
-                best[mode] = elapsed
-        pairs += 1
-    return tuple(  # type: ignore[return-value]
-        {
-            "config": "WORKER ws=8 it=4, 16 nodes, DirnH5SNB",
-            "dispatch": mode,
-            "reps": pairs,
-            "seconds": best[mode],
-            "run_cycles": cycles,
-            "sim_cycles_per_sec": cycles / best[mode],
-        }
-        for mode in modes
-    )
+    reps = 0
+    while total < WORKER_MIN_SECONDS and reps < MAX_BENCH_REPS:
+        elapsed, cycles = _worker_reference_once()
+        total += elapsed
+        if best is None or elapsed < best:
+            best = elapsed
+        reps += 1
+    return {
+        "config": "WORKER ws=8 it=4, 16 nodes, DirnH5SNB",
+        "reps": reps,
+        "seconds": best,
+        "run_cycles": cycles,
+        "sim_cycles_per_sec": cycles / best,
+    }
 
 
 # ----------------------------------------------------------------------
@@ -261,14 +244,10 @@ def main(argv=None) -> int:
     print("engine: chain bench...", flush=True)
     chain = bench_engine_chain()
     print(f"  {chain['events_per_sec']:,.0f} events/sec", flush=True)
-    print("engine: WORKER reference (compiled/interpreted A/B)...",
+    print("engine: WORKER reference...", flush=True)
+    worker = bench_worker_reference()
+    print(f"  {worker['sim_cycles_per_sec']:,.0f} sim cycles/sec",
           flush=True)
-    worker, worker_interp = bench_worker_reference()
-    speedup = (worker["sim_cycles_per_sec"]
-               / worker_interp["sim_cycles_per_sec"])
-    print(f"  compiled {worker['sim_cycles_per_sec']:,.0f}, interpreted "
-          f"{worker_interp['sim_cycles_per_sec']:,.0f} sim cycles/sec "
-          f"(compiled is {speedup:.2f}x)", flush=True)
     print(f"drivers ({args.preset} preset): serial, parallel, "
           f"warm cache...", flush=True)
     drivers = bench_drivers(args.preset)
@@ -291,8 +270,6 @@ def main(argv=None) -> int:
             "drain": drain,
             "chain": chain,
             "worker_reference": worker,
-            "worker_reference_interpreted": worker_interp,
-            "compiled_dispatch_speedup": round(speedup, 3),
         },
         "drivers": drivers,
     }
