@@ -21,12 +21,28 @@ Record before/after numbers in ``docs/performance.md`` when touching
 coherence engine dispatch.
 """
 
+import json
+from pathlib import Path
+
 from repro.machine.machine import Machine
 from repro.machine.params import MachineParams
 from repro.sim.engine import Simulator
 from repro.workloads.worker import WorkerBenchmark
 
 N_EVENTS = 50_000
+
+#: The protocol-equivalence fixture record this benchmark's config and
+#: cycle count come from, so the two cannot drift apart.
+EQUIVALENCE_FIXTURE = (Path(__file__).parent.parent / "tests" / "data"
+                       / "protocol_equivalence.json")
+WORKER_RECORD = "worker8x2-n16-DirnH5SNB"
+
+
+def _equivalence_record(record_id):
+    with EQUIVALENCE_FIXTURE.open(encoding="utf-8") as fh:
+        fixture = json.load(fh)
+    (entry,) = [e for e in fixture["entries"] if e["id"] == record_id]
+    return fixture["n_nodes"], entry
 
 
 def _drain(probe=None):
@@ -72,8 +88,8 @@ def test_engine_drain_with_probe(benchmark):
     assert seen  # the probe really ran
 
 
-def _worker_end_to_end():
-    machine = Machine(MachineParams(n_nodes=16), protocol="DirnH5SNB")
+def _worker_end_to_end(n_nodes, machine_kwargs):
+    machine = Machine(MachineParams(n_nodes=n_nodes), **machine_kwargs)
     stats = machine.run(WorkerBenchmark(worker_set_size=8, iterations=2))
     return stats.run_cycles
 
@@ -81,5 +97,9 @@ def _worker_end_to_end():
 def test_worker_end_to_end(benchmark):
     """Whole-machine throughput: 16-node WORKER through the coherence
     engine with no observers attached.  The deterministic cycle count
-    doubles as a correctness anchor for the timing being benchmarked."""
-    assert benchmark(_worker_end_to_end) == 24_812
+    doubles as a correctness anchor for the timing being benchmarked;
+    it is the ``run_cycles`` of the matching protocol-equivalence
+    fixture record, the one pin for this configuration."""
+    n_nodes, record = _equivalence_record(WORKER_RECORD)
+    assert benchmark(_worker_end_to_end, n_nodes, record["machine"]) \
+        == record["run_cycles"]

@@ -96,69 +96,6 @@ SECTIONS = (
 
 _SECTION_LABELS = dict(SECTIONS)
 
-#: `repro analyze` spec defaults, shared by the CLI parser and the
-#: `repro serve` /analyze endpoint so both front-ends describe the same
-#: experiment the same way (and therefore produce byte-identical
-#: artifacts for the default spec).
-ANALYZE_DEFAULTS: Dict[str, object] = {
-    "app": "worker",
-    "protocol": "DirnH5SNB",
-    "nodes": 16,
-    "size": 6,
-    "iterations": 2,
-    "software": "flexible",
-    "victim_cache": True,
-    "perfect_ifetch": False,
-    "invalidation_mode": "parallel",
-}
-
-
-def analyze_config(app: str, protocol: str, nodes: int, software: str,
-                   invalidation_mode: str,
-                   worker_set_size: Optional[int] = None,
-                   iterations: Optional[int] = None) -> Dict[str, object]:
-    """The ``config`` section of a `repro analyze` artifact.
-
-    One constructor for every front-end: the CLI and the HTTP server
-    both describe the analyzed experiment through this function, so the
-    same spec yields the same config dict — a prerequisite for the
-    byte-identity gate on served artifacts.
-    """
-    config: Dict[str, object] = {
-        "app": app,
-        "protocol": protocol,
-        "nodes": nodes,
-        "software": software,
-        "invalidation_mode": invalidation_mode,
-    }
-    if app == "worker":
-        config["worker_set_size"] = worker_set_size
-        config["iterations"] = iterations
-    return config
-
-
-def analyze_doc(artifact: Dict[str, object], config: Dict[str, object],
-                run_cycles: int, speedup: float) -> Dict[str, object]:
-    """Assemble the `repro analyze` output document.
-
-    ``artifact`` is a ``repro-attribution/1`` dict — built directly from
-    an :class:`~repro.obs.attribution.AttributionReport` (the CLI path)
-    or carried on a job result as ``stats.attribution`` (the server
-    path).  Every non-``config`` field of the artifact is a pure
-    function of the deterministic run, so replacing ``config`` and
-    appending the ``run`` section here yields byte-identical documents
-    from either path — which is exactly the invariant CI's serve smoke
-    job ``cmp``s.
-    """
-    doc = dict(artifact)
-    doc["config"] = dict(config)
-    doc["run"] = {
-        "run_cycles": run_cycles,
-        "speedup": round(speedup, 4),
-    }
-    return doc
-
-
 Progress = Callable[[str], None]
 
 

@@ -11,7 +11,6 @@ Usage (after ``pip install -e .``)::
     python -m repro experiments --progress --fleet-log sweep.jsonl
     python -m repro status sweep.jsonl
     python -m repro status sweep.jsonl --follow
-    python -m repro serve --port 8642 --jobs auto
     python -m repro run --app water --check-invariants
     python -m repro cache prune --max-age 7d --dry-run
 
@@ -39,13 +38,7 @@ from repro.analysis.experiments import (
     run_one,
 )
 from repro.analysis.report import format_table
-from repro.analysis.reportgen import (
-    ANALYZE_DEFAULTS,
-    SECTIONS,
-    analyze_config,
-    analyze_doc,
-    write_experiments_md,
-)
+from repro.analysis.reportgen import SECTIONS, write_experiments_md
 from repro.core.protocol import InvariantChecker
 from repro.exec import DEFAULT_CACHE_DIR, JobRunner, ResultCache
 from repro.core.spec import PAPER_SPECTRUM, spec_of
@@ -234,21 +227,17 @@ def _build_parser() -> argparse.ArgumentParser:
              "cycle-attribution artifact (deterministic JSON)")
     analyze.add_argument("--app",
                          choices=sorted(APPLICATIONS) + ["worker"],
-                         default=ANALYZE_DEFAULTS["app"],
+                         default="worker",
                          help="application, or 'worker' for the WORKER "
                               "stress test (default)")
-    analyze.add_argument("--protocol",
-                         default=ANALYZE_DEFAULTS["protocol"])
-    analyze.add_argument("--nodes", type=int,
-                         default=ANALYZE_DEFAULTS["nodes"])
-    analyze.add_argument("--size", type=int,
-                         default=ANALYZE_DEFAULTS["size"],
+    analyze.add_argument("--protocol", default="DirnH5SNB")
+    analyze.add_argument("--nodes", type=int, default=16)
+    analyze.add_argument("--size", type=int, default=6,
                          help="worker-set size (worker only)")
-    analyze.add_argument("--iterations", type=int,
-                         default=ANALYZE_DEFAULTS["iterations"],
+    analyze.add_argument("--iterations", type=int, default=2,
                          help="WORKER iterations (worker only)")
     analyze.add_argument("--software", choices=("flexible", "optimized"),
-                         default=ANALYZE_DEFAULTS["software"])
+                         default="flexible")
     analyze.add_argument("--no-victim-cache", action="store_true")
     analyze.add_argument("--perfect-ifetch", action="store_true")
     analyze.add_argument("--invalidation-mode",
@@ -326,34 +315,6 @@ def _build_parser() -> argparse.ArgumentParser:
     status.add_argument("--interval", type=float, default=1.0,
                         metavar="SECONDS",
                         help="--follow poll interval (default 1.0)")
-
-    serve = sub.add_parser(
-        "serve",
-        help="serve experiment specs over HTTP with a live "
-             "observability plane (SSE events, Prometheus metrics, "
-             "attribution artifacts; byte-identical to the CLI)")
-    serve.add_argument("--host", default="127.0.0.1",
-                       help="bind address (default 127.0.0.1)")
-    serve.add_argument("--port", type=int, default=8642,
-                       help="TCP port (default 8642; 0 = ephemeral)")
-    serve.add_argument("--jobs", default="1", metavar="N",
-                       help="worker processes: a count or 'auto' "
-                            "(default 1)")
-    serve.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
-                       metavar="DIR",
-                       help="result cache directory "
-                            f"(default {DEFAULT_CACHE_DIR}; shared "
-                            "with the CLI, so server and CLI replay "
-                            "each other's results)")
-    serve.add_argument("--no-cache", action="store_true",
-                       help="disable the on-disk result cache")
-    serve.add_argument("--fleet-log", metavar="FILE", default=None,
-                       help="append every telemetry event to FILE as "
-                            "repro-fleetlog/1 JSONL")
-    serve.add_argument("--heartbeat-every", type=_positive_int,
-                       default=None, metavar="CYCLES",
-                       help="simulated cycles between job_progress "
-                            "heartbeats")
 
     check = sub.add_parser(
         "check",
@@ -611,12 +572,21 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report = AttributionReport.build(collector)
-    config = analyze_config(
-        args.app, args.protocol, args.nodes, args.software,
-        args.invalidation_mode,
-        worker_set_size=args.size, iterations=args.iterations)
-    doc = analyze_doc(attribution_dict(report), config,
-                      stats.run_cycles, stats.speedup)
+    config = {
+        "app": args.app,
+        "protocol": args.protocol,
+        "nodes": args.nodes,
+        "software": args.software,
+        "invalidation_mode": args.invalidation_mode,
+    }
+    if args.app == "worker":
+        config["worker_set_size"] = args.size
+        config["iterations"] = args.iterations
+    doc = attribution_dict(report, config)
+    doc["run"] = {
+        "run_cycles": stats.run_cycles,
+        "speedup": round(stats.speedup, 4),
+    }
 
     if args.show_txn is not None:
         trace = collector.trace(args.show_txn)
@@ -835,69 +805,6 @@ def _cmd_status(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    # The server is the CLI runner with an HTTP front: same cache, same
-    # fleet monitor, same drivers.  Telemetry stays a side channel —
-    # every byte served is identical to the CLI artifact for the same
-    # spec (CI cmp-gates this) — so the observability plane here is
-    # free to be as live as it likes.
-    import asyncio
-    import signal
-
-    from repro.exec import FarmExecutor
-    from repro.obs import load_rate_hint
-    from repro.serve import FarmServer
-
-    # A service gets SIGTERMed far more often than Ctrl-C'd.  Route it
-    # through the KeyboardInterrupt path so the farm pool (and its
-    # worker processes) shut down instead of being orphaned.
-    try:
-        signal.signal(signal.SIGTERM, signal.default_int_handler)
-    except ValueError:  # not the main thread (embedded use) — skip
-        pass
-
-    monitor = FleetMonitor(
-        log_path=args.fleet_log,
-        sections=[key for key, _ in SECTIONS],
-        eta_hints=load_eta_hints(),
-    )
-    try:
-        farm = FarmExecutor(
-            jobs=args.jobs,
-            cache=None if args.no_cache else ResultCache(args.cache_dir),
-            telemetry=monitor,
-            heartbeat_every=args.heartbeat_every,
-        )
-    except (ValueError, ConfigurationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    server = FarmServer(farm, monitor, host=args.host, port=args.port,
-                        rate_hint=load_rate_hint())
-    monitor.start(jobs=farm.n_workers)
-
-    async def _run() -> None:
-        await server.start()
-        print(f"repro serve: listening on "
-              f"http://{server.host}:{server.port} "
-              f"({farm.n_workers} worker"
-              f"{'' if farm.n_workers == 1 else 's'}, "
-              f"cache {'off' if args.no_cache else args.cache_dir})",
-              flush=True)
-        try:
-            await asyncio.Event().wait()
-        finally:
-            await server.close()
-
-    try:
-        asyncio.run(_run())
-    except KeyboardInterrupt:
-        print("repro serve: shutting down", flush=True)
-    finally:
-        farm.close()
-        monitor.finish(jobs_executed=farm.jobs_executed)
-    return 0
-
-
 def _cmd_cache(args: argparse.Namespace) -> int:
     assert args.cache_command == "prune"
     cache = ResultCache(args.cache_dir)
@@ -957,7 +864,6 @@ _COMMANDS = {
     "diff": _cmd_diff,
     "experiments": _cmd_experiments,
     "status": _cmd_status,
-    "serve": _cmd_serve,
     "cache": _cmd_cache,
     "check": _cmd_check,
 }

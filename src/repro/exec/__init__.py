@@ -6,9 +6,7 @@ The experiment pipeline in three pieces:
   and in-process execution of a single spec;
 - :mod:`repro.exec.pool` — :class:`JobRunner`, the deduplicating,
   caching, optionally-multiprocess runner whose result maps are a pure
-  function of the plan, and :class:`FarmExecutor`, its long-running
-  sibling for services: one persistent pool, thread-safe single-job
-  submission, and in-flight dedup (used by ``repro serve``);
+  function of the plan;
 - :mod:`repro.exec.cache` — :class:`ResultCache`, the on-disk
   deterministic result store under ``.repro-cache/``.
 
@@ -39,22 +37,17 @@ from repro.exec.jobs import (
     make_job,
 )
 from repro.exec.pool import (
-    FarmExecutor,
     JobRunner,
-    Submission,
     plan_unique,
     resolve_jobs,
-    run_jobs,
 )
 
 __all__ = [
     "CACHE_SCHEMA",
     "DEFAULT_CACHE_DIR",
-    "FarmExecutor",
     "JobRunner",
     "ResultCache",
     "SimJob",
-    "Submission",
     "cache_key",
     "canonical_dict",
     "canonical_json",
@@ -63,5 +56,4 @@ __all__ = [
     "make_job",
     "plan_unique",
     "resolve_jobs",
-    "run_jobs",
 ]

@@ -124,11 +124,11 @@ class ResultCache:
 
         Concurrency-safe by compare-and-swap: the entry is staged in a
         temp file, then *linked* into place — an atomic create-if-absent,
-        so when several writers race the same key (two ``repro serve``
-        clients submitting one spec, a server and a CLI sharing a cache
-        dir) exactly one publishes and the rest discard their staging
-        file.  First-writer-wins is correct here because the simulator
-        is deterministic: every racer is holding the same bytes.  A
+        so when several writers race the same key (concurrent ``repro
+        experiments`` sweeps sharing one ``--cache-dir``) exactly one
+        publishes and the rest discard their staging file.
+        First-writer-wins is correct here because the simulator is
+        deterministic: every racer is holding the same bytes.  A
         pre-existing *unreadable* entry (interrupted write by an older,
         non-atomic writer) is replaced via atomic rename instead, as is
         the whole entry on filesystems without hard links.  A concurrent

@@ -36,7 +36,6 @@ from typing import (
     TYPE_CHECKING,
     Dict,
     List,
-    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -83,9 +82,7 @@ def plan_unique(
     jobs to ``attribution=True`` (callers keep looking results up by
     the key they planned with).  ``unique`` maps executed key to the
     job to run, in first-appearance order; ``dups`` counts submissions
-    coalesced away.  Shared by :class:`JobRunner` (one-shot sweeps) and
-    :class:`FarmExecutor` (the long-running service), so both dedup a
-    plan identically.
+    coalesced away.
     """
     aliases: "OrderedDict[str, str]" = OrderedDict()
     unique: "OrderedDict[str, SimJob]" = OrderedDict()
@@ -329,321 +326,3 @@ def _execute_job_in_worker(job: SimJob, check_invariants: bool) -> RunStats:
             heartbeat_every=_WORKER_HEARTBEAT_EVERY or DEFAULT_HEARTBEAT)
     return execute_job(job, check_invariants=check_invariants,
                        telemetry=telemetry)
-
-
-def _execute_with_monitor(job: SimJob, monitor,
-                          heartbeat_every: int) -> RunStats:
-    """In-process execution with telemetry delivered straight to the
-    monitor (thread-pool farms; mirrors JobRunner's serial path)."""
-    from repro.obs.fleet import FleetTelemetry
-
-    telemetry = FleetTelemetry(monitor.handle,
-                               heartbeat_every=heartbeat_every)
-    return execute_job(job, check_invariants=False, telemetry=telemetry)
-
-
-class Submission(NamedTuple):
-    """One :meth:`FarmExecutor.submit` outcome.
-
-    ``future`` resolves to the job's :class:`RunStats`; ``source`` says
-    how the submission was satisfied — ``"queued"`` (scheduled fresh),
-    ``"inflight"`` (coalesced onto an execution already running),
-    ``"memo"`` (in-process memo), or ``"cache"`` (on-disk result
-    cache).  Every source but ``"queued"`` means no new execution.
-    """
-
-    key: str
-    future: "object"
-    source: str
-
-
-class FarmExecutor:
-    """Persistent, thread-safe job executor for long-running services.
-
-    :class:`JobRunner` is built for one-shot sweeps: a single caller
-    hands it a whole plan, it spins up a pool, drains it, and returns.
-    A server needs the opposite shape — many callers submitting single
-    jobs at arbitrary times against one long-lived worker pool — plus
-    one guarantee JobRunner never needed: submissions of a key that is
-    *currently executing* must coalesce onto that execution rather than
-    run again.  :meth:`submit` resolves each job, in order, against the
-    in-flight table, the in-process memo, and the on-disk cache, and
-    only then schedules it; the returned future is shared by every
-    caller of the same key.  All of it is lock-protected, so concurrent
-    HTTP clients race safely.
-
-    Dedup semantics, result keying, and telemetry events match
-    JobRunner exactly (:func:`plan_unique` is shared), and the blocking
-    :meth:`run` is plug-compatible with JobRunner's — which is how
-    ``repro serve`` feeds the unmodified experiment drivers through the
-    farm and gets byte-identical reports out.
-
-    ``worker_pool`` selects the execution substrate: ``"process"``
-    (default; real isolation, telemetry relayed over a manager queue by
-    a drain thread) or ``"thread"`` (in-process, telemetry direct — the
-    serial JobRunner path, one job at a time per worker thread).
-    """
-
-    def __init__(self, jobs: JobsSpec = 1,
-                 cache: Optional[ResultCache] = None,
-                 attribution: bool = False,
-                 telemetry: Optional["FleetMonitor"] = None,
-                 heartbeat_every: Optional[int] = None,
-                 worker_pool: str = "process") -> None:
-        import threading
-
-        if worker_pool not in ("process", "thread"):
-            raise ValueError(
-                f"worker_pool must be 'process' or 'thread', "
-                f"got {worker_pool!r}")
-        self.n_workers = resolve_jobs(jobs)
-        self.cache = cache
-        self.attribution = attribution
-        self.telemetry = telemetry
-        self.worker_pool = worker_pool
-        if heartbeat_every is None:
-            from repro.obs.fleet import DEFAULT_HEARTBEAT
-
-            heartbeat_every = DEFAULT_HEARTBEAT
-        self.heartbeat_every = heartbeat_every
-        if telemetry is not None and cache is not None:
-            cache.on_event = self._cache_event
-        self._lock = threading.Lock()
-        self._memo: Dict[str, RunStats] = {}
-        self._inflight: Dict[str, "object"] = {}
-        self._pool = None
-        self._manager = None
-        self._queue = None
-        self._drain = None
-        self._closed = False
-        self.jobs_executed = 0
-        self.jobs_deduplicated = 0
-        self.inflight_hits = 0
-        self.memo_hits = 0
-
-    # ------------------------------------------------------------------
-    # Telemetry plumbing (mirrors JobRunner)
-    # ------------------------------------------------------------------
-
-    def _emit(self, event_type: str, **fields) -> None:
-        if self.telemetry is not None:
-            from repro.obs.fleet import event
-
-            self.telemetry.handle(event(event_type, **fields))
-
-    def _cache_event(self, kind: str, job: SimJob) -> None:
-        self._emit("cache_" + kind, key=job_key(job))
-
-    def _drain_loop(self) -> None:
-        while True:
-            try:
-                item = self._queue.get()
-            except (EOFError, OSError):  # manager torn down
-                return
-            if item is None:
-                return
-            try:
-                self.telemetry.handle(item)
-            except Exception:  # noqa: BLE001 - side channel
-                pass
-
-    def _ensure_pool(self):
-        # Called under self._lock.  Lazy so a farm constructed for a
-        # server costs nothing until the first job arrives.
-        if self._pool is not None:
-            return self._pool
-        if self.worker_pool == "thread":
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._pool = ThreadPoolExecutor(max_workers=self.n_workers)
-            return self._pool
-        from concurrent.futures import ProcessPoolExecutor
-
-        if self.telemetry is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.n_workers)
-            return self._pool
-        import multiprocessing
-        import threading
-
-        self._manager = multiprocessing.Manager()
-        self._queue = self._manager.Queue()
-        self._drain = threading.Thread(target=self._drain_loop,
-                                       daemon=True)
-        self._drain.start()
-        self._pool = ProcessPoolExecutor(
-            max_workers=self.n_workers,
-            initializer=_init_worker_telemetry,
-            initargs=(self._queue, self.heartbeat_every))
-        return self._pool
-
-    def _schedule(self, job: SimJob):
-        # Called under self._lock with the pool ensured.
-        pool = self._ensure_pool()
-        if self.worker_pool == "thread":
-            if self.telemetry is not None:
-                return pool.submit(_execute_with_monitor, job,
-                                   self.telemetry, self.heartbeat_every)
-            return pool.submit(execute_job, job)
-        if self._queue is not None:
-            return pool.submit(_execute_job_in_worker, job, False)
-        return pool.submit(execute_job, job)
-
-    # ------------------------------------------------------------------
-    # Submission
-    # ------------------------------------------------------------------
-
-    def submit(self, job: SimJob) -> Submission:
-        """Resolve one job; returns its (possibly shared) future.
-
-        Resolution order: in-flight execution, in-process memo, on-disk
-        cache, fresh schedule.  Emits the same telemetry events a
-        JobRunner plan of one job would (``plan_enqueued`` /
-        ``job_queued`` / ``memo_hit``; the cache emits its own
-        hit/miss/put events through its hook).
-        """
-        if self.attribution and not job.attribution:
-            job = dataclasses.replace(job, attribution=True)
-        key = job_key(job)
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("FarmExecutor is closed")
-            future = self._inflight.get(key)
-            if future is not None:
-                self.inflight_hits += 1
-                self.jobs_deduplicated += 1
-                self._emit("plan_enqueued", planned=1, unique=0, pending=0)
-                return Submission(key, future, "inflight")
-            memoized = self._memo.get(key)
-            if memoized is not None:
-                self.memo_hits += 1
-                self._emit("plan_enqueued", planned=1, unique=1, pending=0)
-                self._emit("memo_hit", key=key)
-                return Submission(key, _resolved_future(memoized), "memo")
-        # Disk lookup outside the lock: file IO must not serialize
-        # unrelated submissions.
-        if self.cache is not None:
-            cached = self.cache.get(job)
-            if cached is not None:
-                with self._lock:
-                    self._memo.setdefault(key, cached)
-                self._emit("plan_enqueued", planned=1, unique=1, pending=0)
-                return Submission(key, _resolved_future(cached), "cache")
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("FarmExecutor is closed")
-            future = self._inflight.get(key)
-            if future is not None:
-                # A racer scheduled it while we were probing the disk.
-                self.inflight_hits += 1
-                self.jobs_deduplicated += 1
-                self._emit("plan_enqueued", planned=1, unique=0, pending=0)
-                return Submission(key, future, "inflight")
-            self._emit("plan_enqueued", planned=1, unique=1, pending=1)
-            self._emit("job_queued", key=key)
-            future = self._schedule(job)
-            self._inflight[key] = future
-        future.add_done_callback(
-            lambda f, key=key, job=job: self._settle(key, job, f))
-        return Submission(key, future, "queued")
-
-    def _settle(self, key: str, job: SimJob, future) -> None:
-        failed = future.cancelled() or future.exception() is not None
-        with self._lock:
-            if not failed:
-                # Memoize before clearing in-flight so no window exists
-                # where a concurrent submit would re-schedule the key.
-                self._memo[key] = future.result()
-                self.jobs_executed += 1
-            self._inflight.pop(key, None)
-        if not failed and self.cache is not None:
-            self.cache.put(job, future.result())
-
-    # ------------------------------------------------------------------
-    # JobRunner-compatible blocking interface
-    # ------------------------------------------------------------------
-
-    def run(self, plan: Sequence[SimJob],
-            attribution: Optional[bool] = None) -> Dict[str, RunStats]:
-        """Run a whole plan through the farm; blocks for all results.
-
-        Same contract as :meth:`JobRunner.run` — the result map is keyed
-        by the jobs as submitted and is a pure function of the plan —
-        so experiment drivers accept a farm wherever they accept a
-        runner.
-        """
-        if attribution is None:
-            attribution = self.attribution
-        aliases, unique, dups = plan_unique(plan, attribution)
-        with self._lock:
-            self.jobs_deduplicated += dups
-        submissions = {key: self.submit(job)
-                       for key, job in unique.items()}
-        results = {key: sub.future.result()
-                   for key, sub in submissions.items()}
-        return {submitted: results[executed]
-                for submitted, executed in aliases.items()}
-
-    # ------------------------------------------------------------------
-    # Lifecycle / introspection
-    # ------------------------------------------------------------------
-
-    def counters(self) -> Dict[str, int]:
-        """Executor-level counters for status endpoints."""
-        with self._lock:
-            return {
-                "jobs_executed": self.jobs_executed,
-                "jobs_deduplicated": self.jobs_deduplicated,
-                "inflight_hits": self.inflight_hits,
-                "memo_hits": self.memo_hits,
-                "inflight": len(self._inflight),
-                "memoized": len(self._memo),
-            }
-
-    def close(self, wait: bool = True) -> None:
-        """Shut the farm down; idempotent.
-
-        Waits for in-flight jobs (unless ``wait=False``), then tears
-        down the pool, the telemetry drain, and the manager.
-        """
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            pool, self._pool = self._pool, None
-            queue, self._queue = self._queue, None
-            drain, self._drain = self._drain, None
-            manager, self._manager = self._manager, None
-        if pool is not None:
-            pool.shutdown(wait=wait)
-        if queue is not None:
-            try:
-                queue.put(None)
-            except (EOFError, OSError):
-                pass
-        if drain is not None:
-            drain.join(timeout=5.0)
-        if manager is not None:
-            manager.shutdown()
-
-    def __enter__(self) -> "FarmExecutor":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-def _resolved_future(stats: RunStats):
-    from concurrent.futures import Future
-
-    future: "Future[RunStats]" = Future()
-    future.set_result(stats)
-    return future
-
-
-def run_jobs(
-    plan: Sequence[SimJob],
-    jobs: JobsSpec = 1,
-    cache: Optional[ResultCache] = None,
-) -> Dict[str, RunStats]:
-    """One-shot convenience wrapper around :class:`JobRunner`."""
-    return JobRunner(jobs=jobs, cache=cache).run(plan)

@@ -69,7 +69,6 @@ from repro.obs.fleet import (
     RunProgress,
     format_fleet_summary,
     load_eta_hints,
-    load_rate_hint,
     prometheus_snapshot,
     read_fleet_log,
     replay_fleet_log,
@@ -111,7 +110,6 @@ __all__ = [
     "RunProgress",
     "format_fleet_summary",
     "load_eta_hints",
-    "load_rate_hint",
     "prometheus_snapshot",
     "read_fleet_log",
     "replay_fleet_log",

@@ -272,9 +272,8 @@ def metrics_dict(stats: "RunStats",
 
 def dumps_json(document: Dict[str, object]) -> str:
     """Serialize ``document`` with a stable key order and trailing
-    newline — the one canonical artifact encoding, shared by file
-    writers and the HTTP server so identical documents produce
-    byte-identical output on every path."""
+    newline — the one canonical artifact encoding, so identical
+    documents produce byte-identical output."""
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 

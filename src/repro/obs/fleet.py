@@ -229,10 +229,9 @@ class FleetLogWriter:
     newline) and appended with one ``os.write`` on an ``O_APPEND``
     descriptor.  POSIX makes such appends atomic with respect to both
     concurrent appenders and readers, so a live tailer (``repro status
-    --follow``, the ``repro serve`` event stream) never observes a torn
-    record, and two writers sharing a path interleave whole lines.  The
-    descriptor is unbuffered, so every event is durable on return — no
-    separate flush step exists to tear.
+    --follow``) never observes a torn record, and two writers sharing a
+    path interleave whole lines.  The descriptor is unbuffered, so every
+    event is durable on return — no separate flush step exists to tear.
     """
 
     def __init__(self, path: str) -> None:
@@ -338,7 +337,6 @@ class FleetMonitor:
         self._on_line = on_line
         self._lock = threading.Lock()
         self._seq = 0
-        self._subscribers: List[Callable[[Dict[str, Any]], None]] = []
         self.events_handled = 0
 
         self.workers: Optional[int] = None
@@ -399,37 +397,6 @@ class FleetMonitor:
         if self._log is not None:
             self._log.close()
 
-    # -- subscribers ----------------------------------------------------
-
-    def subscribe(
-        self, callback: Callable[[Dict[str, Any]], None],
-    ) -> Callable[[Dict[str, Any]], None]:
-        """Fan every ingested event out to ``callback``.
-
-        Callbacks receive the sequenced event dict (``seq`` assigned),
-        after aggregation, in ingestion order — the same stream the
-        JSONL log records.  They run on whichever thread called
-        :meth:`handle` while the monitor lock is held, so they must be
-        quick, must not block, and must not re-enter the monitor; hand
-        the event off to a queue for anything heavier (the ``repro
-        serve`` SSE stream does exactly that).  A raising subscriber is
-        dropped from the stream, never the sweep.  Returns ``callback``
-        so the result can be kept for :meth:`unsubscribe`.
-        """
-        with self._lock:
-            self._subscribers.append(callback)
-        return callback
-
-    def unsubscribe(
-        self, callback: Callable[[Dict[str, Any]], None],
-    ) -> None:
-        """Stop delivering events to ``callback`` (no-op if unknown)."""
-        with self._lock:
-            try:
-                self._subscribers.remove(callback)
-            except ValueError:
-                pass
-
     # -- ingestion ------------------------------------------------------
 
     def handle(self, doc: Dict[str, Any]) -> None:
@@ -444,18 +411,6 @@ class FleetMonitor:
                 self._log.write(doc)
             self._apply(doc)
             self._maybe_render(doc["event"])
-            if self._subscribers:
-                broken: List[Callable[[Dict[str, Any]], None]] = []
-                for callback in list(self._subscribers):
-                    try:
-                        callback(doc)
-                    except Exception:  # noqa: BLE001 - side channel
-                        broken.append(callback)
-                for callback in broken:
-                    try:
-                        self._subscribers.remove(callback)
-                    except ValueError:
-                        pass
 
     def _apply(self, doc: Dict[str, Any]) -> None:
         kind = doc["event"]
@@ -758,8 +713,7 @@ def prometheus_snapshot(summary: Dict[str, Any],
     """Render a summary in Prometheus text exposition format.
 
     A *snapshot*, not a live scrape endpoint: write it where your
-    node-exporter textfile collector looks, or serve it verbatim — the
-    planned ``repro serve`` front-end will do exactly that.
+    node-exporter textfile collector looks, or serve it verbatim.
     """
     lines: List[str] = []
     for suffix, path, help_text, prom_type in _PROM_METRICS:
@@ -794,23 +748,6 @@ def load_eta_hints(path: str = DEFAULT_ETA_HINTS) -> Optional[Dict[str, float]]:
         per_driver = doc["drivers"]["per_driver"]
         return {name: float(timing["serial_s"])
                 for name, timing in per_driver.items()}
-    except (OSError, ValueError, KeyError, TypeError):
-        return None
-
-
-def load_rate_hint(path: str = DEFAULT_ETA_HINTS) -> Optional[float]:
-    """Reference simulated-cycles-per-second from the BENCH record.
-
-    The engine's measured single-worker throughput, used by ``repro
-    serve`` as the rate prior for per-job ETAs before the first
-    heartbeat arrives.  Returns ``None`` when the record is missing or
-    unreadable — like the section hints, a nicety only.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        rate = float(doc["engine"]["worker_reference"]["sim_cycles_per_sec"])
-        return rate if rate > 0 else None
     except (OSError, ValueError, KeyError, TypeError):
         return None
 

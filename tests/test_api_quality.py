@@ -68,10 +68,6 @@ MODULES = [
     "repro.obs.hist",
     "repro.obs.spans",
     "repro.obs.timeseries",
-    "repro.serve",
-    "repro.serve.app",
-    "repro.serve.http",
-    "repro.serve.specs",
     "repro.sim",
     "repro.sim.engine",
     "repro.sim.shard",

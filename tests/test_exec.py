@@ -13,7 +13,7 @@ import os
 import pytest
 
 from repro.analysis.experiments import fig2_worker_ratios, run_one
-from repro.exec import JobRunner, ResultCache, make_job, run_jobs
+from repro.exec import JobRunner, ResultCache, make_job
 from repro.exec.cache import cache_key
 from repro.exec.jobs import canonical_json, execute_job, job_key
 from repro.exec.pool import resolve_jobs
@@ -209,21 +209,55 @@ class TestJobRunner:
     def test_parallel_matches_serial(self):
         plan = [tiny_job(), tiny_job(protocol="DirnH2SNB"),
                 tiny_job(protocol="DirnHNBS-")]
-        serial = run_jobs(plan, jobs=1)
-        parallel = run_jobs(plan, jobs=2)
+        serial = JobRunner(jobs=1).run(plan)
+        parallel = JobRunner(jobs=2).run(plan)
         assert serial.keys() == parallel.keys()
         for key in serial:
-            assert serial[key].run_cycles == parallel[key].run_cycles
+            assert serial[key].to_json_dict() == \
+                parallel[key].to_json_dict()
 
     def test_cache_feeds_runner(self, tmp_path):
+        plan = [tiny_job(),
+                make_job(WorkerBenchmark, TINY, protocol="DirnH2SNB",
+                         n_nodes=16, attribution=True)]
+        fresh = JobRunner(jobs=1,
+                          cache=ResultCache(str(tmp_path))).run(plan)
+        # a new cache object: the runners share only the directory
         cache = ResultCache(str(tmp_path))
-        plan = [tiny_job()]
-        JobRunner(jobs=1, cache=cache).run(plan)
         warm = JobRunner(jobs=1, cache=cache)
         results = warm.run(plan)
         assert warm.jobs_executed == 0
-        assert cache.hits == 1
-        assert results[job_key(plan[0])].run_cycles > 0
+        assert cache.hits == 2
+        for key in fresh:
+            assert results[key].to_json_dict() == fresh[key].to_json_dict()
+        assert results[job_key(plan[1])].attribution is not None
+
+    def test_failed_job_raises_and_is_not_memoized(self, tmp_path,
+                                                   monkeypatch):
+        import repro.exec.pool as pool_mod
+
+        real_execute = pool_mod.execute_job
+        blow_up = {"armed": True}
+
+        def flaky_execute(job, *args, **kwargs):
+            if blow_up["armed"]:
+                blow_up["armed"] = False
+                raise RuntimeError("transient failure")
+            return real_execute(job, *args, **kwargs)
+
+        monkeypatch.setattr(pool_mod, "execute_job", flaky_execute)
+        cache = ResultCache(str(tmp_path))
+        runner = JobRunner(jobs=1, cache=cache)
+        with pytest.raises(RuntimeError, match="transient"):
+            runner.run([tiny_job()])
+        assert runner.jobs_executed == 0
+        assert not os.path.exists(cache.path_for(tiny_job()))
+        # the failure was neither memoized nor cached: a retry executes
+        results = runner.run([tiny_job()])
+        assert runner.jobs_executed == 1
+        assert runner.memo_hits == 0
+        assert results[job_key(tiny_job())].run_cycles > 0
+        assert os.path.exists(cache.path_for(tiny_job()))
 
 
 # ----------------------------------------------------------------------
@@ -383,7 +417,7 @@ class TestInvalidationModeSpec:
 
 
 # ----------------------------------------------------------------------
-# plan_unique: dedup shared by JobRunner and FarmExecutor
+# plan_unique: JobRunner's dedup
 # ----------------------------------------------------------------------
 
 class TestPlanUnique:
@@ -408,106 +442,6 @@ class TestPlanUnique:
         assert aliases == {job_key(plain): job_key(attributed)}
         assert list(unique) == [job_key(attributed)]
         assert unique[job_key(attributed)].attribution
-
-
-# ----------------------------------------------------------------------
-# FarmExecutor: the long-running service executor
-# ----------------------------------------------------------------------
-
-class TestFarmExecutor:
-    def test_run_matches_jobrunner_byte_for_byte(self, tmp_path):
-        from repro.exec.pool import FarmExecutor
-
-        plan = [tiny_job(), tiny_job(protocol="full-map"), tiny_job()]
-        expected = JobRunner(jobs=1).run(plan)
-        with FarmExecutor(jobs=2, worker_pool="thread") as farm:
-            got = farm.run(plan)
-        assert sorted(got) == sorted(expected)
-        for key in expected:
-            assert got[key].to_json_dict() == expected[key].to_json_dict()
-
-    def test_submit_sources_queued_memo_cache(self, tmp_path):
-        from repro.exec.pool import FarmExecutor
-
-        cache = ResultCache(str(tmp_path / "cache"))
-        job = tiny_job()
-        with FarmExecutor(jobs=1, cache=cache,
-                          worker_pool="thread") as farm:
-            first = farm.submit(job)
-            stats = first.future.result(timeout=120)
-            assert first.source == "queued"
-            again = farm.submit(job)
-            assert again.source == "memo"
-            assert again.future.result(timeout=120) is stats
-        # a fresh farm sharing the cache resolves from disk
-        with FarmExecutor(jobs=1, cache=ResultCache(str(tmp_path / "cache")),
-                          worker_pool="thread") as farm:
-            warmed = farm.submit(job)
-            assert warmed.source == "cache"
-            assert warmed.future.result(timeout=120).to_json_dict() \
-                == stats.to_json_dict()
-
-    def test_concurrent_submissions_of_one_key_execute_once(
-            self, monkeypatch):
-        import threading
-
-        import repro.exec.pool as pool_mod
-        from repro.exec.pool import FarmExecutor
-
-        release = threading.Event()
-        calls = []
-        real_execute = pool_mod.execute_job
-
-        def gated_execute(job, *args, **kwargs):
-            calls.append(job_key(job))
-            assert release.wait(60)
-            return real_execute(job, *args, **kwargs)
-
-        monkeypatch.setattr(pool_mod, "execute_job", gated_execute)
-        with FarmExecutor(jobs=2, worker_pool="thread") as farm:
-            first = farm.submit(tiny_job())
-            second = farm.submit(tiny_job())
-            assert first.source == "queued"
-            assert second.source == "inflight"
-            assert second.future is first.future
-            release.set()
-            first.future.result(timeout=120)
-            counters = farm.counters()
-        assert calls == [job_key(tiny_job())]
-        assert counters["jobs_executed"] == 1
-        assert counters["inflight_hits"] == 1
-
-    def test_failed_job_surfaces_and_is_not_memoized(self, monkeypatch):
-        import repro.exec.pool as pool_mod
-        from repro.exec.pool import FarmExecutor
-
-        real_execute = pool_mod.execute_job
-        blow_up = {"armed": True}
-
-        def flaky_execute(job, *args, **kwargs):
-            if blow_up["armed"]:
-                blow_up["armed"] = False
-                raise RuntimeError("transient failure")
-            return real_execute(job, *args, **kwargs)
-
-        monkeypatch.setattr(pool_mod, "execute_job", flaky_execute)
-        with FarmExecutor(jobs=1, worker_pool="thread") as farm:
-            failed = farm.submit(tiny_job())
-            with pytest.raises(RuntimeError, match="transient"):
-                failed.future.result(timeout=120)
-            retried = farm.submit(tiny_job())
-            assert retried.source == "queued"  # failure not memoized
-            assert retried.future.result(timeout=120).run_cycles > 0
-
-    def test_close_is_idempotent(self):
-        from repro.exec.pool import FarmExecutor
-
-        farm = FarmExecutor(jobs=1, worker_pool="thread")
-        farm.submit(tiny_job()).future.result(timeout=120)
-        farm.close()
-        farm.close()
-        with pytest.raises(RuntimeError):
-            farm.submit(tiny_job())
 
 
 # ----------------------------------------------------------------------

@@ -563,60 +563,6 @@ class TestShardTaggedLogs:
 
 
 # ----------------------------------------------------------------------
-# Monitor fan-out to subscribers (the serve /events relay)
-# ----------------------------------------------------------------------
-
-class TestMonitorSubscribers:
-    def test_subscriber_sees_sequenced_events_in_order(self):
-        monitor = FleetMonitor()
-        seen = []
-        monitor.subscribe(seen.append)
-        monitor.handle(event("sweep_started", jobs=1))
-        monitor.handle(event("job_queued", key="k"))
-        assert [e["event"] for e in seen] == ["sweep_started",
-                                             "job_queued"]
-        assert [e["seq"] for e in seen] == [0, 1]
-
-    def test_unsubscribe_stops_delivery(self):
-        monitor = FleetMonitor()
-        seen = []
-        callback = monitor.subscribe(seen.append)
-        monitor.handle(event("sweep_started", jobs=1))
-        monitor.unsubscribe(callback)
-        monitor.handle(event("job_queued", key="k"))
-        assert len(seen) == 1
-
-    def test_raising_subscriber_is_dropped_others_survive(self):
-        monitor = FleetMonitor()
-        seen = []
-
-        def broken(doc):
-            raise RuntimeError("boom")
-
-        monitor.subscribe(broken)
-        monitor.subscribe(seen.append)
-        monitor.handle(event("sweep_started", jobs=1))
-        monitor.handle(event("job_queued", key="k"))
-        # the raiser was removed after its first failure; the healthy
-        # subscriber got every event and the monitor kept aggregating
-        assert len(seen) == 2
-        assert monitor.events_handled == 2
-
-    def test_subscribers_see_the_same_stream_the_log_records(self,
-                                                             tmp_path):
-        path = str(tmp_path / "fleet.jsonl")
-        monitor = FleetMonitor(log_path=path)
-        seen = []
-        monitor.subscribe(seen.append)
-        monitor.handle(event("sweep_started", jobs=2))
-        monitor.handle(event("job_queued", key="k"))
-        monitor.close()
-        logged = read_fleet_log(path)[1:]  # skip header
-        assert [json.dumps(e, sort_keys=True) for e in seen] == \
-            [json.dumps(e, sort_keys=True) for e in logged]
-
-
-# ----------------------------------------------------------------------
 # Prometheus exposition-format validity
 # ----------------------------------------------------------------------
 
@@ -686,16 +632,3 @@ class TestSummaryEta:
         monitor.handle(event("sweep_finished", wall_s=1.0,
                              jobs_executed=0))
         assert monitor.summary()["eta_s"] is None
-
-    def test_rate_hint_loads_from_committed_bench_record(self):
-        from repro.obs.fleet import load_rate_hint
-
-        rate = load_rate_hint(
-            os.path.join(os.path.dirname(__file__), os.pardir,
-                         DEFAULT_ETA_HINTS))
-        assert rate is not None and rate > 0
-
-    def test_rate_hint_missing_file_is_none(self, tmp_path):
-        from repro.obs.fleet import load_rate_hint
-
-        assert load_rate_hint(str(tmp_path / "nope.json")) is None
