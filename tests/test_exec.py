@@ -217,11 +217,27 @@ class TestJobRunner:
                 parallel[key].to_json_dict()
 
     def test_cache_feeds_runner(self, tmp_path):
+        cache = ResultCache(str(tmp_path))
+        plan = [tiny_job()]
+        JobRunner(jobs=1, cache=cache).run(plan)
+        warm = JobRunner(jobs=1, cache=cache)
+        results = warm.run(plan)
+        assert warm.jobs_executed == 0
+        assert cache.hits == 1
+        assert results[job_key(plan[0])].run_cycles > 0
+
+    def test_memo_then_fresh_cache_replay_identical_results(self, tmp_path):
         plan = [tiny_job(),
                 make_job(WorkerBenchmark, TINY, protocol="DirnH2SNB",
                          n_nodes=16, attribution=True)]
-        fresh = JobRunner(jobs=1,
-                          cache=ResultCache(str(tmp_path))).run(plan)
+        first = JobRunner(jobs=1, cache=ResultCache(str(tmp_path)))
+        fresh = first.run(plan)
+        # the same runner serves a repeat from its memo, same objects
+        again = first.run(plan)
+        assert first.jobs_executed == 2
+        assert first.memo_hits == 2
+        for key in fresh:
+            assert again[key] is fresh[key]
         # a new cache object: the runners share only the directory
         cache = ResultCache(str(tmp_path))
         warm = JobRunner(jobs=1, cache=cache)
