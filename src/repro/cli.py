@@ -22,6 +22,7 @@ value.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional, Sequence
 
@@ -42,6 +43,7 @@ from repro.analysis.reportgen import SECTIONS, write_experiments_md
 from repro.core.protocol import InvariantChecker
 from repro.exec import DEFAULT_CACHE_DIR, JobRunner, ResultCache
 from repro.core.spec import PAPER_SPECTRUM, spec_of
+from repro.common import CHECKOUT_ROOT
 from repro.common.errors import ConfigurationError
 from repro.machine.machine import Machine
 from repro.machine.params import MachineParams
@@ -52,8 +54,9 @@ from repro.obs import (
     LatencyRecorder,
     ProgressPrinter,
     RunProgress,
-    SpanCollector,
+    StallSpan,
     TraceCollector,
+    TransactionTrace,
     attribution_dict,
     chrome_trace,
     format_fleet_summary,
@@ -68,7 +71,8 @@ from repro.obs import (
 from repro.workloads.worker import WorkerBenchmark
 
 #: The committed attribution baseline exercised by `repro diff --baseline`.
-DEFAULT_BASELINE = "baselines/worker16-attribution.json"
+DEFAULT_BASELINE = os.path.join(CHECKOUT_ROOT, "baselines",
+                                "worker16-attribution.json")
 
 
 def _positive_int(text: str) -> int:
@@ -260,7 +264,8 @@ def _build_parser() -> argparse.ArgumentParser:
     diff.add_argument("--baseline", nargs="?", const=DEFAULT_BASELINE,
                       default=None, metavar="FILE",
                       help="compare against a committed baseline "
-                           f"(default {DEFAULT_BASELINE})")
+                           "(default: baselines/worker16-attribution.json "
+                           "in the checkout)")
     diff.add_argument("--threshold", type=float, default=None,
                       metavar="FRAC",
                       help="relative growth threshold per bucket "
@@ -560,7 +565,15 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    collector = SpanCollector.attach(machine)
+    report = AttributionReport.attach(machine)
+    shown: List[TransactionTrace] = []
+    if args.show_txn is not None:
+        def keep(stall: StallSpan,
+                 trace: Optional[TransactionTrace]) -> None:
+            if stall.txn == args.show_txn:
+                shown.append(trace)
+
+        report.collector.on_complete.append(keep)
     if args.app == "worker":
         workload = WorkerBenchmark(worker_set_size=args.size,
                                    iterations=args.iterations)
@@ -571,7 +584,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = AttributionReport.build(collector)
     config = {
         "app": args.app,
         "protocol": args.protocol,
@@ -589,12 +601,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     }
 
     if args.show_txn is not None:
-        trace = collector.trace(args.show_txn)
-        if trace is None:
+        if not shown:
             print(f"no transaction {args.show_txn} "
-                  f"(ids run 1..{len(collector)})", file=sys.stderr)
+                  f"({len(report.collector)} transactions; node k's "
+                  f"i-th miss has id i*{args.nodes}+k+1)", file=sys.stderr)
         else:
-            print(format_trace(trace), file=sys.stderr)
+            print(format_trace(shown[0]), file=sys.stderr)
 
     if args.out == "-":
         json.dump(doc, sys.stdout, indent=2, sort_keys=True)

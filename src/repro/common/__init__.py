@@ -1,5 +1,7 @@
 """Common primitive types and errors shared across the package."""
 
+import os
+
 from repro.common.errors import (
     AllocationError,
     ConfigurationError,
@@ -22,7 +24,16 @@ from repro.common.types import (
     block_of,
 )
 
+#: The checkout this package runs from: the directory above
+#: ``src/repro``.  Defaults that name committed files (the attribution
+#: baseline, the benchmark record) resolve against it, so they work
+#: from any working directory; explicit paths still resolve against
+#: the working directory.
+CHECKOUT_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.dirname(os.path.abspath(__file__)))))
+
 __all__ = [
+    "CHECKOUT_ROOT",
     "AccessType",
     "Address",
     "AllocationError",

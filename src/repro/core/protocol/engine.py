@@ -138,19 +138,15 @@ class HomeProtocolEngine:
             for guard, action, row in rows:
                 if guard is None or guard(entry, src, block):
                     action(entry, src, block)
+                    # positional: node, at, event, src, block, before,
+                    # after, rule, next_label, busy, txn
                     obs.transition(TransitionApplied(
-                        node=self.node.id,
-                        at=self.node.machine.sim.now,
-                        event=kind,
-                        src=src,
-                        block=block,
-                        before=None if before is None else before.value,
-                        after=None if entry is None else entry.state.value,
-                        rule=row.action,
-                        next_label=row.next_state,
-                        busy=busy,
-                        txn=message.payload.txn,
-                    ))
+                        self.node.id, self.node.machine.sim.now, kind,
+                        src, block,
+                        None if before is None else before.value,
+                        None if entry is None else entry.state.value,
+                        row.action, row.next_state, busy,
+                        message.payload.txn))
                     return
         else:
             for guard, action, row in rows:

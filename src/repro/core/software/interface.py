@@ -141,11 +141,8 @@ class CoherenceInterface:
         txn = node.current_txn
         obs = node.machine.obs
         if obs is not None and obs.on_trap:
-            obs.trap(TrapPosted(
-                node=node.id, kind=kind.value,
-                at=node.machine.sim.now,
-                cost=cost.latency, pointers=pointers, txn=txn,
-            ))
+            obs.trap(TrapPosted(node.id, kind.value, node.machine.sim.now,
+                                cost.latency, pointers, txn))
 
         def complete() -> None:
             prev = node.current_txn

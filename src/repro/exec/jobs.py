@@ -192,11 +192,11 @@ def execute_job(job: SimJob, check_invariants: bool = False,
         from repro.core.protocol.invariants import InvariantChecker
 
         checker = InvariantChecker.attach(machine)
-    collector = None
+    report = None
     if job.attribution:
-        from repro.obs.spans import SpanCollector
+        from repro.obs.attribution import AttributionReport
 
-        collector = SpanCollector.attach(machine)
+        report = AttributionReport.attach(machine)
     key = None
     if telemetry is not None:
         key = job_key(job)
@@ -215,11 +215,9 @@ def execute_job(job: SimJob, check_invariants: bool = False,
     if checker is not None:
         checker.finish()
         checker.assert_clean()
-    if collector is not None:
-        from repro.obs.attribution import AttributionReport, attribution_dict
+    if report is not None:
+        from repro.obs.attribution import attribution_dict
 
         stats.attribution = attribution_dict(
-            AttributionReport.build(collector),
-            config={"job": job_key(job)},
-        )
+            report, config={"job": job_key(job)})
     return stats

@@ -34,6 +34,7 @@ import os
 from collections import OrderedDict
 from typing import (
     TYPE_CHECKING,
+    Callable,
     Dict,
     List,
     Optional,
@@ -47,6 +48,8 @@ from repro.exec.jobs import SimJob, execute_job, job_key
 from repro.sim.stats import RunStats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from concurrent.futures import Future
+
     from repro.obs.fleet import FleetMonitor
 
 JobsSpec = Union[int, str]
@@ -186,7 +189,10 @@ class JobRunner:
         """Run ``plan`` and return ``{job_key: RunStats}``.
 
         Duplicate specs run once; cached results (memo or disk) are not
-        re-run.  The returned map covers every job in the plan.
+        re-run.  The returned map covers every job in the plan.  If a
+        job raises, every result that finished is still memoised and
+        cached, and the first failure in plan order is raised (serially
+        that is the first failure; later jobs do not run).
         """
         aliases, unique, dups = plan_unique(plan, self.attribution)
         self.jobs_deduplicated += dups
@@ -214,22 +220,26 @@ class JobRunner:
             self._emit("job_queued", key=key)
 
         if pending:
-            if self.n_workers == 1 or len(pending) == 1:
-                fresh = self._run_serial(pending)
-            else:
-                fresh = self._run_pool(pending)
-            for key, stats in fresh.items():
+            def store(key: str, stats: RunStats) -> None:
+                # Each result is kept the moment it finishes, so a
+                # failing job costs a retry only itself.
                 self._memo[key] = stats
                 results[key] = stats
                 if self.cache is not None:
                     self.cache.put(pending[key], stats)
-            self.jobs_executed += len(fresh)
+                self.jobs_executed += 1
+
+            if self.n_workers == 1 or len(pending) == 1:
+                self._run_serial(pending, store)
+            else:
+                self._run_pool(pending, store)
         return {submitted: results[executed]
                 for submitted, executed in aliases.items()}
 
-    def _run_serial(
-        self, pending: "OrderedDict[str, SimJob]"
-    ) -> Dict[str, RunStats]:
+    def _run_serial(self, pending: "OrderedDict[str, SimJob]",
+                    store: Callable[[str, RunStats], None]) -> None:
+        """Run ``pending`` in plan order; the first failure stops the
+        run and raises."""
         worker_telemetry = None
         if self.telemetry is not None:
             from repro.obs.fleet import FleetTelemetry
@@ -237,15 +247,15 @@ class JobRunner:
             worker_telemetry = FleetTelemetry(
                 self.telemetry.handle,
                 heartbeat_every=self.heartbeat_every)
-        return {
-            key: execute_job(job, check_invariants=self.check_invariants,
-                             telemetry=worker_telemetry)
-            for key, job in pending.items()
-        }
+        for key, job in pending.items():
+            store(key, execute_job(job,
+                                   check_invariants=self.check_invariants,
+                                   telemetry=worker_telemetry))
 
-    def _run_pool(
-        self, pending: "OrderedDict[str, SimJob]"
-    ) -> Dict[str, RunStats]:
+    def _run_pool(self, pending: "OrderedDict[str, SimJob]",
+                  store: Callable[[str, RunStats], None]) -> None:
+        """Run ``pending`` on a process pool, storing each result as it
+        finishes; then raise the first failure in plan order."""
         from concurrent.futures import ProcessPoolExecutor
 
         workers = min(self.n_workers, len(pending))
@@ -254,20 +264,19 @@ class JobRunner:
         if self.telemetry is None:
             with ProcessPoolExecutor(max_workers=workers) as executor:
                 futures = {
-                    key: executor.submit(execute_job, pending[key],
-                                         self.check_invariants)
+                    executor.submit(execute_job, pending[key],
+                                    self.check_invariants): key
                     for key in keys
                 }
-                # Collect in plan order; completion order is irrelevant
-                # because results are keyed by spec.
-                return {key: futures[key].result() for key in keys}
+                _store_as_completed(futures, keys, store)
+            return
 
         # Telemetry in pool mode: workers put events on a manager-queue
         # proxy (picklable, unlike a raw multiprocessing.Queue, so it
         # survives the trip through the executor's initargs) and a
         # daemon drain thread relays them into the monitor while the
-        # futures run.  Results still collect in plan order — the
-        # telemetry path adds no ordering of its own.
+        # futures run.  Results are keyed by spec, so the order they
+        # are stored in is irrelevant and telemetry adds none of its own.
         import multiprocessing
         import threading
 
@@ -292,15 +301,35 @@ class JobRunner:
                         initializer=_init_worker_telemetry,
                         initargs=(queue, self.heartbeat_every)) as executor:
                     futures = {
-                        key: executor.submit(_execute_job_in_worker,
-                                             pending[key],
-                                             self.check_invariants)
+                        executor.submit(_execute_job_in_worker,
+                                        pending[key],
+                                        self.check_invariants): key
                         for key in keys
                     }
-                    return {key: futures[key].result() for key in keys}
+                    _store_as_completed(futures, keys, store)
             finally:
                 queue.put(None)
                 drain.join()
+
+
+def _store_as_completed(futures: Dict["Future", str], keys: List[str],
+                        store: Callable[[str, RunStats], None]) -> None:
+    """``store`` every successful future as it completes, then raise
+    the failure of the earliest key in plan order (``keys``), if any."""
+    from concurrent.futures import as_completed
+
+    failures: Dict[str, Exception] = {}
+    for future in as_completed(futures):
+        key = futures[future]
+        try:
+            stats = future.result()
+        except Exception as exc:  # noqa: BLE001 - re-raised below
+            failures[key] = exc
+            continue
+        store(key, stats)
+    for key in keys:
+        if key in failures:
+            raise failures[key]
 
 
 #: Per-worker-process telemetry queue, set by the pool initializer.

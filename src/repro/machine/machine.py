@@ -276,14 +276,15 @@ class Machine:
         bus (see :mod:`repro.obs`).  Observers read state only — they
         never schedule events — so attaching them changes no simulated
         cycle count; until the first subscriber appears, each probe site
-        costs a single ``None`` check.
+        costs a single ``None`` check.  The engine's clock probe is not
+        wired here: :meth:`run` installs it only if the ``advance``
+        channel has a subscriber by then, so subscribe before running.
         """
         if self.obs is None:
             from repro.obs.events import EventBus
 
             self.obs = EventBus()
             self.fabric.obs = self.obs
-            self.sim.probe = self.obs.advance
         return self.obs
 
     def note_grant(self, block: int, node: int,
@@ -336,6 +337,11 @@ class Machine:
         for node in self.nodes:
             node.processor.start(workload.thread(self, node.id))
 
+        obs = self.obs
+        if obs is not None and obs.on_advance:
+            # Any probe takes the engine off its tight loop, so only a
+            # listened-to ``advance`` channel gets one.
+            self.sim.probe = obs.advance
         self.sim.run(until=max_cycles, max_events=max_events,
                      idle_check=self._check_deadlock)
         unfinished = [n.id for n in self.nodes if not n.processor.done]

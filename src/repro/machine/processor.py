@@ -453,11 +453,8 @@ class Processor:
         obs = self.machine.obs
         if obs is not None and obs.on_handler:
             obs.handler(HandlerSpan(
-                node=self.node.id, start=start,
-                end=self.sw_busy_until, kind=_sample_kind(kind),
-                implementation=implementation, pointers=pointers,
-                latency=cost.latency, txn=txn,
-            ))
+                self.node.id, start, self.sw_busy_until, _sample_kind(kind),
+                implementation, pointers, cost.latency, txn))
 
         def complete() -> None:
             completion()

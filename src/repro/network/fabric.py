@@ -197,13 +197,11 @@ class Fabric:
         obs = self.obs
         if obs is None or not obs.on_message:
             return
+        payload = msg.payload
         obs.message(MessageSent(
-            src=msg.src, dst=msg.dst, kind=msg.kind,
-            size_flits=msg.size_flits, sent_at=msg.sent_at,
-            delivered_at=msg.delivered_at,
-            block=getattr(msg.payload, "block", None),
-            txn=getattr(msg.payload, "txn", None),
-        ))
+            msg.src, msg.dst, msg.kind, msg.size_flits, msg.sent_at,
+            msg.delivered_at, getattr(payload, "block", None),
+            getattr(payload, "txn", None)))
 
     # ------------------------------------------------------------------
     # Introspection (read-only; used by the interval sampler)

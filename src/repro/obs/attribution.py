@@ -39,11 +39,14 @@ byte-stable across runs and fit for committed baselines
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.obs.events import StallSpan
 from repro.obs.hist import HistogramSet
 from repro.obs.spans import SpanCollector, TransactionTrace
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.machine.machine import Machine
 
 __all__ = [
     "ATTRIBUTION_SCHEMA",
@@ -196,7 +199,12 @@ def attribute_stall(stall: StallSpan,
 
 
 class AttributionReport:
-    """Aggregated attribution over every stall of one run."""
+    """Aggregated attribution over every stall of one run.
+
+    Built incrementally: :meth:`attach` subscribes :meth:`add` to a
+    :class:`~repro.obs.spans.SpanCollector`, which splits each stall
+    into buckets the moment it completes and then drops its trace.
+    """
 
     def __init__(self) -> None:
         self.totals: Dict[str, int] = {}
@@ -206,25 +214,36 @@ class AttributionReport:
         self.total_cycles = 0
         self.n_stalls = 0
         self.n_transactions = 0
+        #: the collector feeding this report (set by :meth:`attach`);
+        #: add more completion subscribers to it to keep traces
+        self.collector: Optional[SpanCollector] = None
 
     @classmethod
-    def build(cls, collector: SpanCollector) -> "AttributionReport":
+    def attach(cls, machine: "Machine") -> "AttributionReport":
+        """A report fed by a new collector on ``machine``'s bus; it is
+        complete once ``machine.run`` returns."""
         report = cls()
-        report.n_transactions = len(collector)
-        for stall in collector.stalls:
-            trace = (collector.trace(stall.txn)
-                     if stall.txn is not None else None)
-            parts = attribute_stall(stall, trace)
-            report.n_stalls += 1
-            report.total_cycles += stall.latency
-            per_kind = report.by_stall_kind.setdefault(stall.kind, {})
-            for bucket in sorted(parts):
-                cycles = parts[bucket]
-                report.totals[bucket] = (
-                    report.totals.get(bucket, 0) + cycles)
-                per_kind[bucket] = per_kind.get(bucket, 0) + cycles
-                report.hists.record(bucket, cycles)
+        report.collector = SpanCollector.attach(machine)
+        report.collector.on_complete.append(report.add)
         return report
+
+    def add(self, stall: StallSpan,
+            trace: Optional[TransactionTrace]) -> None:
+        """Account one completed stall (``trace`` is ``None`` for a
+        stall that opened no transaction)."""
+        parts = attribute_stall(stall, trace)
+        self.n_stalls += 1
+        if trace is not None:
+            self.n_transactions += 1
+        self.total_cycles += stall.end - stall.start
+        per_kind = self.by_stall_kind.setdefault(stall.kind, {})
+        totals = self.totals
+        record = self.hists.record
+        for bucket in sorted(parts):
+            cycles = parts[bucket]
+            totals[bucket] = totals.get(bucket, 0) + cycles
+            per_kind[bucket] = per_kind.get(bucket, 0) + cycles
+            record(bucket, cycles)
 
     @property
     def attributed_cycles(self) -> int:

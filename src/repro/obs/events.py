@@ -10,7 +10,14 @@ Design constraints, in order:
    None`` and every probe site is a single attribute load plus a
    ``None`` check.  Even with a bus attached, a site first checks its
    channel's subscriber list and only *then* constructs the event
-   object, so unobserved channels stay allocation-free.
+   object, so unobserved channels stay allocation-free.  The engine
+   loop follows the same rule: ``Machine.run`` installs the
+   ``advance`` probe only when that channel has a subscriber, so an
+   idle bus leaves ``Simulator.run`` on its tight loop.
+3. **Cheap events.**  Each event type is a :class:`typing.NamedTuple`:
+   immutable, compared by value, and built by the probe sites with
+   positional arguments (a frozen dataclass routes every field through
+   ``object.__setattr__`` and costs several times as much to build).
 
 Probe points
 ------------
@@ -23,19 +30,22 @@ user       ``machine/processor.py`` `_consume`   :class:`UserSpan`
 stall      processor stall completion            :class:`StallSpan`
 handler    ``Processor.post_trap``               :class:`HandlerSpan`
 trap       ``core/software/interface.py``        :class:`TrapPosted`
-message    ``network/fabric.py`` ``send``        :class:`MessageSent`
+message    ``network/fabric.py`` ``_receive``    :class:`MessageSent`
 transition ``core/protocol/engine.py`` dispatch  :class:`TransitionApplied`
 ========== ===================================== ==========================
+
+``message`` fires when a message reaches its destination's receive
+queue (``Fabric._receive``), once its delivery time is known; a
+loopback message, whose delivery time is fixed at once, fires in
+``send``, and so does every message of the detailed network.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Callable, List, Optional
+from typing import Callable, List, NamedTuple, Optional
 
 
-@dataclasses.dataclass(frozen=True)
-class UserSpan:
+class UserSpan(NamedTuple):
     """A contiguous interval of user-code execution on one node."""
 
     node: int
@@ -43,8 +53,7 @@ class UserSpan:
     end: int
 
 
-@dataclasses.dataclass(frozen=True)
-class StallSpan:
+class StallSpan(NamedTuple):
     """One processor stall, from issue to completion.
 
     ``kind`` is ``"read"``/``"write"`` for data misses (end-to-end
@@ -72,8 +81,7 @@ class StallSpan:
         return self.end - self.start
 
 
-@dataclasses.dataclass(frozen=True)
-class HandlerSpan:
+class HandlerSpan(NamedTuple):
     """One software-context handler occupancy interval."""
 
     node: int
@@ -86,8 +94,7 @@ class HandlerSpan:
     txn: Optional[int] = None
 
 
-@dataclasses.dataclass(frozen=True)
-class TrapPosted:
+class TrapPosted(NamedTuple):
     """A protocol trap requested through the flexible interface."""
 
     node: int
@@ -98,8 +105,7 @@ class TrapPosted:
     txn: Optional[int] = None
 
 
-@dataclasses.dataclass(frozen=True)
-class MessageSent:
+class MessageSent(NamedTuple):
     """One fabric message with its computed delivery time."""
 
     src: int
@@ -112,8 +118,7 @@ class MessageSent:
     txn: Optional[int] = None
 
 
-@dataclasses.dataclass(frozen=True)
-class TransitionApplied:
+class TransitionApplied(NamedTuple):
     """One fired rule of the table-driven home protocol engine.
 
     Directory states are carried as their string values (e.g.

@@ -57,6 +57,8 @@ from typing import (
     TYPE_CHECKING,
 )
 
+from repro.common import CHECKOUT_ROOT
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.machine.machine import Machine
     from repro.sim.stats import RunStats
@@ -69,8 +71,9 @@ FLEETLOG_SCHEMA = "repro-fleetlog/1"
 #: second at the engine's measured throughput.
 DEFAULT_HEARTBEAT = 100_000
 
-#: Default location of the per-driver timing hints used for ETAs.
-DEFAULT_ETA_HINTS = "BENCH_experiments.json"
+#: Default location of the per-driver timing hints used for ETAs: the
+#: committed record at the checkout root.
+DEFAULT_ETA_HINTS = os.path.join(CHECKOUT_ROOT, "BENCH_experiments.json")
 
 #: Required fields per event type (beyond the ``event``/``t``
 #: envelope).  This *is* the repro-fleetlog/1 schema; the log's first

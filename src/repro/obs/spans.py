@@ -12,7 +12,8 @@ every trap it posts, and every handler occupancy it schedules.  A
     miss -> request message -> home transition [-> trap -> handler]
          [-> invalidation fan-out -> ack gather] -> data grant -> fill
 
-— which :mod:`repro.obs.attribution` then decomposes cycle-by-cycle.
+— and hands each trace on when its miss completes, which is when
+:mod:`repro.obs.attribution` decomposes it cycle-by-cycle.
 
 Determinism: transaction ids are allocated in simulation event order,
 which is itself deterministic, so the same configuration produces the
@@ -24,7 +25,7 @@ processes).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.obs.events import (
     HandlerSpan,
@@ -43,10 +44,12 @@ __all__ = ["TransactionTrace", "SpanCollector", "format_trace"]
 class TransactionTrace:
     """Everything one coherence transaction did, in emission order.
 
-    ``stall`` is filled in when the requesting processor unblocks; a
-    trace whose stall is still ``None`` belongs to a transaction that
-    had not completed when the run ended (possible only for aborted
-    runs — a finished workload has no outstanding misses).
+    ``stall`` is filled in when the requesting processor unblocks,
+    which is when :class:`SpanCollector` hands the trace to its
+    completion subscribers; a trace whose stall is still ``None``
+    belongs to a transaction that had not completed when the run ended
+    (possible only for aborted runs — a finished workload has no
+    outstanding misses).
     """
 
     __slots__ = ("txn", "stall", "messages", "handlers", "traps",
@@ -88,16 +91,35 @@ class TransactionTrace:
 class SpanCollector:
     """Subscribes to the bus and groups events by transaction id.
 
-    Also keeps *every* stall span (tagged or not) in emission order, so
-    downstream attribution can account for non-miss stalls — ifetch
-    fills, lock/reduction waits, and software-context waits — which
-    carry no transaction id.
+    The collector holds only *open* transactions.  When a stall
+    completes it calls every :attr:`on_complete` subscriber with
+    ``(stall, trace)`` in emission order — ``trace`` is ``None`` for
+    the ifetch fills, lock/reduction waits and software-context waits
+    that carry no transaction id — and then forgets the trace, so a
+    run's memory stays flat however many transactions it completes.
+
+    An event can still arrive for a transaction whose stall has ended:
+    barrier messages sent after a miss carry its id, and the fabric
+    reports a message only when it reaches the receive queue.  Such an
+    event is dropped if it starts at or after the stall's end, where
+    clipping to the stall window would give it zero cycles anyway (a
+    trap and its handler span are emitted together, so both are
+    dropped and the trap/handler pairing is unchanged).  An event that
+    starts *before* the end would have changed the attribution and
+    raises :class:`ValueError`.  Ids are node-striped and each node
+    has one miss outstanding, so the node's last completed stall is
+    the whole record this check needs.
     """
 
-    def __init__(self) -> None:
-        self._traces: Dict[int, TransactionTrace] = {}
-        #: every StallSpan in emission order (misses and otherwise)
-        self.stalls: List[StallSpan] = []
+    def __init__(self, n_nodes: int) -> None:
+        self._n_nodes = n_nodes
+        self._open: Dict[int, TransactionTrace] = {}
+        #: per node, its most recently completed data-miss stall
+        self._closed: List[Optional[StallSpan]] = [None] * n_nodes
+        self._seen = 0
+        #: completion subscribers, called as ``fn(stall, trace)``
+        self.on_complete: List[
+            Callable[[StallSpan, Optional[TransactionTrace]], None]] = []
 
     # ------------------------------------------------------------------
     # Wiring
@@ -106,7 +128,7 @@ class SpanCollector:
     @classmethod
     def attach(cls, machine: "Machine") -> "SpanCollector":
         """Create a collector subscribed to ``machine``'s bus."""
-        self = cls()
+        self = cls(machine.params.n_nodes)
         bus = machine.observe()
         bus.on_stall.append(self._on_stall)
         bus.on_handler.append(self._on_handler)
@@ -115,46 +137,76 @@ class SpanCollector:
         bus.on_transition.append(self._on_transition)
         return self
 
-    def _trace(self, txn: int) -> TransactionTrace:
-        trace = self._traces.get(txn)
-        if trace is None:
-            trace = self._traces[txn] = TransactionTrace(txn)
+    def _open_trace(self, txn: int,
+                    start: int) -> Optional[TransactionTrace]:
+        """Open a trace for ``txn``, whose event starts at ``start`` and
+        found no open trace; ``None`` if the transaction has completed
+        and the event lies past its stall.  The event handlers call it
+        as ``self._open.get(txn) or self._open_trace(...)``, which
+        relies on a :class:`TransactionTrace` always being truthy."""
+        closed = self._closed[(txn - 1) % self._n_nodes]
+        if closed is not None and txn <= closed.txn:
+            # ``txn``'s stall ended at ``closed.end`` if it is the
+            # node's latest, else no later than ``closed.start``.
+            bound = closed.end if txn == closed.txn else closed.start
+            if start >= bound:
+                return None
+            raise ValueError(
+                f"event for completed transaction {txn} starts at cycle "
+                f"{start}, before cycle {bound}, so it may overlap the "
+                f"stall; streaming attribution would miss it")
+        trace = self._open[txn] = TransactionTrace(txn)
+        self._seen += 1
         return trace
 
     def _on_stall(self, ev: StallSpan) -> None:
-        self.stalls.append(ev)
-        if ev.txn is not None:
-            self._trace(ev.txn).stall = ev
+        txn = ev.txn
+        trace = None
+        if txn is not None:
+            trace = self._open.pop(txn, None)
+            if trace is None:
+                trace = TransactionTrace(txn)
+                self._seen += 1
+            trace.stall = ev
+            self._closed[ev.node] = ev
+        for fn in self.on_complete:
+            fn(ev, trace)
 
     def _on_handler(self, ev: HandlerSpan) -> None:
         if ev.txn is not None:
-            self._trace(ev.txn).handlers.append(ev)
+            trace = (self._open.get(ev.txn)
+                     or self._open_trace(ev.txn, ev.start))
+            if trace is not None:
+                trace.handlers.append(ev)
 
     def _on_trap(self, ev: TrapPosted) -> None:
         if ev.txn is not None:
-            self._trace(ev.txn).traps.append(ev)
+            trace = (self._open.get(ev.txn)
+                     or self._open_trace(ev.txn, ev.at))
+            if trace is not None:
+                trace.traps.append(ev)
 
     def _on_message(self, ev: MessageSent) -> None:
         if ev.txn is not None:
-            self._trace(ev.txn).messages.append(ev)
+            trace = (self._open.get(ev.txn)
+                     or self._open_trace(ev.txn, ev.sent_at))
+            if trace is not None:
+                trace.messages.append(ev)
 
     def _on_transition(self, ev: TransitionApplied) -> None:
         if ev.txn is not None:
-            self._trace(ev.txn).transitions.append(ev)
+            trace = (self._open.get(ev.txn)
+                     or self._open_trace(ev.txn, ev.at))
+            if trace is not None:
+                trace.transitions.append(ev)
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
 
-    def transactions(self) -> List[TransactionTrace]:
-        """All traces, ordered by transaction id."""
-        return [self._traces[txn] for txn in sorted(self._traces)]
-
-    def trace(self, txn: int) -> Optional[TransactionTrace]:
-        return self._traces.get(txn)
-
     def __len__(self) -> int:
-        return len(self._traces)
+        """Distinct transaction ids seen so far."""
+        return self._seen
 
 
 def format_trace(trace: TransactionTrace) -> str:

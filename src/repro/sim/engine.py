@@ -59,7 +59,10 @@ class Simulator:
         #: observability probe, called with the new time whenever the
         #: clock advances to a later cycle (repro.obs time-series
         #: sampling).  Probes read state only — they must not schedule
-        #: events — so attaching one cannot perturb the simulation.
+        #: events — so attaching one cannot perturb the simulation.  A
+        #: set probe moves :meth:`run` off its tight loop, so
+        #: ``Machine.run`` sets it only when the bus's ``advance``
+        #: channel has a subscriber.
         self.probe: Optional[Callable[[int], None]] = None
 
     # ------------------------------------------------------------------

@@ -56,6 +56,33 @@ def run_script(machine: Machine, scripts: Dict[int, List[Op]],
     return machine.run(ScriptWorkload(scripts, barriers=barriers))
 
 
+class CompletedTraces:
+    """Completion subscriber of a ``SpanCollector`` that keeps what the
+    collector hands on: every finished stall, in emission order, and
+    every completed transaction's trace, by id."""
+
+    def __init__(self, collector) -> None:
+        self.collector = collector
+        self.stalls: List = []
+        self._traces: Dict[int, object] = {}
+        collector.on_complete.append(self._on_complete)
+
+    def _on_complete(self, stall, trace) -> None:
+        self.stalls.append(stall)
+        if trace is not None:
+            self._traces[trace.txn] = trace
+
+    def transactions(self) -> List:
+        """Completed traces, ordered by transaction id."""
+        return [self._traces[txn] for txn in sorted(self._traces)]
+
+    def trace(self, txn: int):
+        return self._traces.get(txn)
+
+    def __len__(self) -> int:
+        return len(self.collector)
+
+
 def data_block(machine: Machine, home: int) -> int:
     """Allocate one shared block on ``home``; returns its address."""
     return machine.heap.alloc_block(home)

@@ -6,18 +6,21 @@ bucket totals sum *exactly* to the run's total stall cycles — every
 stall cycle lands in exactly one named bucket, residual zero.
 """
 
+import hashlib
 import json
+import os
+import random
 
 import pytest
 
 from repro.analysis.regression import diff_attributions, format_diff
 from repro.core.software.costmodel import CostModel, HandlerCost
+from repro.exec.jobs import execute_job, make_job
 from repro.machine.machine import Machine
 from repro.machine.params import MachineParams
 from repro.obs import (
     BUCKETS,
     AttributionReport,
-    SpanCollector,
     attribute_stall,
     attribution_dict,
 )
@@ -28,15 +31,20 @@ from repro.obs.events import (
     TrapPosted,
 )
 from repro.obs.spans import TransactionTrace
+from repro.workloads.aq import AdaptiveQuadrature
+from repro.workloads.tsp import TSP
 from repro.workloads.worker import WorkerBenchmark
+
+DIGESTS_PATH = os.path.join(os.path.dirname(__file__), "data",
+                            "attribution_digests.json")
 
 
 def attributed_worker(protocol="DirnH2SNB", size=6, iterations=2):
     machine = Machine(MachineParams(n_nodes=16), protocol=protocol)
-    collector = SpanCollector.attach(machine)
+    report = AttributionReport.attach(machine)
     stats = machine.run(WorkerBenchmark(worker_set_size=size,
                                         iterations=iterations))
-    return stats, AttributionReport.build(collector)
+    return stats, report
 
 
 def synthetic_trace(stall, messages=(), handlers=(), traps=()):
@@ -294,3 +302,53 @@ class TestDiff:
                                 abs_floor=10,
                                 bucket_thresholds={"retry": 1e9})
         assert "retry" not in lax["regressions"]
+
+
+# ----------------------------------------------------------------------
+# Streaming attribution against digests pinned before it streamed
+# ----------------------------------------------------------------------
+
+
+class RelabelledTSP(TSP):
+    """TSP's seed-7 instance with cities ``1..n-1`` renamed by a shuffle
+    drawn from ``labelling`` (the benchmark's ``tsp64`` inputs)."""
+
+    def __init__(self, labelling: int, n_cities: int = 12) -> None:
+        super().__init__(n_cities=n_cities, seed=7)
+        names = list(range(1, n_cities))
+        random.Random(labelling).shuffle(names)
+        order = [0] + names
+        self.dist = [[self.dist[a][b] for b in order] for a in order]
+        self._min_out = [self._min_out[a] for a in order]
+
+
+_WORKLOADS = {
+    "aq": AdaptiveQuadrature,
+    "tsp": TSP,
+    "tsp_relabelled": RelabelledTSP,
+    "worker": WorkerBenchmark,
+}
+
+with open(DIGESTS_PATH, encoding="utf-8") as _fh:
+    _DIGEST_CONFIGS = json.load(_fh)["configs"]
+
+
+class TestPinnedDigests:
+    """AQ, TSP and ``tsp64`` send barrier messages tagged with an
+    already-completed transaction; the streamed report must still hash
+    like the one built from whole-run traces."""
+
+    @pytest.mark.parametrize("config", _DIGEST_CONFIGS,
+                             ids=[c["name"] for c in _DIGEST_CONFIGS])
+    def test_attribution_matches_pinned_digest(self, config):
+        job = make_job(_WORKLOADS[config["workload"]], config["kwargs"],
+                       protocol=config["protocol"],
+                       n_nodes=config["n_nodes"], attribution=True)
+        doc = dict(execute_job(job).attribution)
+        assert doc["residual"] == 0
+        # the config names the job by its key, which depends on where
+        # the workload class is defined; the pin covers the rest
+        doc.pop("config")
+        blob = json.dumps(doc, sort_keys=True).encode("utf-8")
+        assert hashlib.sha256(blob).hexdigest() == \
+            config["attribution_sha256"]

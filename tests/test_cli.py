@@ -1,10 +1,11 @@
 """Tests for the command-line interface."""
 
 import json
+import shutil
 
 import pytest
 
-from repro.cli import main
+from repro.cli import DEFAULT_BASELINE, main
 
 
 def run_cli(capsys, *argv):
@@ -243,6 +244,15 @@ class TestAnalyze:
         assert code == 0
         assert "txn 1:" in captured.err
 
+    def test_show_txn_explains_a_missing_id(self, capsys):
+        # ids are striped by node, so the count bounds none of them
+        code = main(list(self.ARGS) + ["--show-txn", "1000000",
+                                       "--out", "-"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "no transaction 1000000" in captured.err
+        assert "i-th miss has id i*16+k+1" in captured.err
+
     def test_application_workloads_work_too(self, capsys):
         code, out = run_cli(capsys, "analyze", "--app", "aq",
                             "--nodes", "16", "--protocol", "DirnH2SNB")
@@ -302,6 +312,16 @@ class TestDiff:
         b = self._artifact(capsys, tmp_path, "b.json")
         code, out = run_cli(capsys, "diff", str(b),
                             "--baseline", str(a))
+        assert code == 0
+        assert "OK" in out
+
+    def test_default_baseline_from_any_directory(self, capsys, tmp_path,
+                                                 monkeypatch):
+        # The default baseline resolves against the checkout; the
+        # artifact path, given relative, against the working directory.
+        shutil.copy(DEFAULT_BASELINE, tmp_path / "x.json")
+        monkeypatch.chdir(tmp_path)
+        code, out = run_cli(capsys, "diff", "x.json", "--baseline")
         assert code == 0
         assert "OK" in out
 

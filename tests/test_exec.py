@@ -275,6 +275,24 @@ class TestJobRunner:
         assert results[job_key(tiny_job())].run_cycles > 0
         assert os.path.exists(cache.path_for(tiny_job()))
 
+    @pytest.mark.parametrize("jobs,bogus_first", [(1, False), (2, True)])
+    def test_finished_results_survive_a_failing_job(self, tmp_path, jobs,
+                                                    bogus_first):
+        good, bogus = tiny_job(n_nodes=4), tiny_job(n_nodes=4, bogus=1)
+        plan = [bogus, good] if bogus_first else [good, bogus]
+        runner = JobRunner(jobs=jobs, cache=ResultCache(str(tmp_path)))
+        with pytest.raises(TypeError, match="bogus"):
+            runner.run(plan)
+        assert runner.jobs_executed == 1
+        # memoised: the same runner replays the good job
+        runner.run([good])
+        assert runner.jobs_executed == 1
+        assert runner.memo_hits == 1
+        # cached: a fresh runner on the same directory executes nothing
+        fresh = JobRunner(jobs=1, cache=ResultCache(str(tmp_path)))
+        fresh.run([good])
+        assert fresh.jobs_executed == 0
+
 
 # ----------------------------------------------------------------------
 # Attribution as a spec dimension

@@ -321,6 +321,13 @@ class TestEtaHints:
         assert "fig5" in hints
         assert all(v >= 0 for v in hints.values())
 
+    def test_default_record_from_any_directory(self, tmp_path,
+                                               monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        hints = load_eta_hints()
+        assert hints is not None
+        assert "fig5" in hints
+
     def test_missing_record_is_none(self, tmp_path):
         assert load_eta_hints(str(tmp_path / "nope.json")) is None
 

@@ -71,7 +71,23 @@ class TestEventBus:
         bus = machine.observe()
         assert machine.observe() is bus
         assert machine.fabric.obs is bus
-        assert machine.sim.probe == bus.advance
+        # The engine probe follows the advance channel, not the bus: a
+        # bus with no advance subscriber leaves the run on the tight
+        # loop, a sampler puts bus.advance in place for the run.
+        for sample in (False, True):
+            machine = tiny_machine()
+            bus = machine.observe()
+            if sample:
+                IntervalSampler.attach(machine, every=100)
+            probes = []
+            bus.on_user.append(
+                lambda _ev, m=machine: probes.append(m.sim.probe))
+            block = machine.heap.alloc_block(0)
+            machine.run(ScriptWorkload(
+                {1: [("read", block), ("compute", 50)]}))
+            assert probes
+            expected = bus.advance if sample else None
+            assert all(p == expected for p in probes)
 
     def test_subscribe_unsubscribe(self):
         bus = EventBus()

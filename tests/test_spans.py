@@ -2,21 +2,31 @@
 
 Covers the txn-id thread through the probe points — assignment at miss
 issue, propagation through protocol messages, directory transitions,
-traps, and handler spans — plus trace reconstruction and the
-determinism of ids across repeated runs.
+traps, and handler spans — plus trace reconstruction, the
+determinism of ids across repeated runs, and the streaming contract:
+each trace is handed on when its stall completes, and a late event
+that overlaps a completed stall raises.
 """
+
+import pytest
 
 from repro.machine.machine import Machine
 from repro.machine.params import MachineParams
-from repro.obs import SpanCollector, format_trace
+from repro.obs import (
+    MessageSent,
+    SpanCollector,
+    StallSpan,
+    TrapPosted,
+    format_trace,
+)
 from repro.workloads.worker import WorkerBenchmark
 
-from tests.helpers import ScriptWorkload, tiny_machine
+from tests.helpers import CompletedTraces, ScriptWorkload, tiny_machine
 
 
 def traced_run(n_nodes=9, protocol="DirnH2SNB", ops=None):
     machine = tiny_machine(n_nodes=n_nodes, protocol=protocol)
-    collector = SpanCollector.attach(machine)
+    collector = CompletedTraces(SpanCollector.attach(machine))
     if ops is None:
         a = machine.heap.alloc_block(0)
         b = machine.heap.alloc_block(1)
@@ -31,7 +41,7 @@ def traced_run(n_nodes=9, protocol="DirnH2SNB", ops=None):
 
 def worker_run(protocol="DirnH2SNB"):
     machine = Machine(MachineParams(n_nodes=16), protocol=protocol)
-    collector = SpanCollector.attach(machine)
+    collector = CompletedTraces(SpanCollector.attach(machine))
     stats = machine.run(WorkerBenchmark(worker_set_size=6, iterations=2))
     return machine, stats, collector
 
@@ -158,3 +168,54 @@ class TestDeterminism:
         text = format_trace(overflow)
         assert f"txn {overflow.txn}:" in text
         assert "msg" in text and "sw" in text and "trap" in text
+
+
+class TestStreaming:
+    """The collector hands each trace on at completion and keeps only
+    open transactions; late events are checked, not silently lost."""
+
+    def fed_collector(self):
+        machine = tiny_machine(n_nodes=4)
+        collector = CompletedTraces(SpanCollector.attach(machine))
+        bus = machine.obs
+        bus.message(MessageSent(0, 1, "rreq", 2, 0, 10, 7, 1))
+        bus.stall(StallSpan(0, 0, 50, "read", 7, 1))
+        return bus, collector
+
+    def test_trace_is_handed_on_at_completion(self):
+        _bus, collector = self.fed_collector()
+        (stall,) = collector.stalls
+        trace = collector.trace(1)
+        assert trace.stall is stall
+        assert [m.kind for m in trace.messages] == ["rreq"]
+        assert not collector.collector._open
+
+    def test_txnless_stalls_have_no_trace(self):
+        bus, collector = self.fed_collector()
+        seen = []
+        collector.collector.on_complete.append(
+            lambda stall, trace: seen.append(trace))
+        bus.stall(StallSpan(2, 5, 9, "ifetch"))
+        assert seen == [None]
+
+    def test_late_message_past_the_stall_is_dropped(self):
+        bus, collector = self.fed_collector()
+        bus.message(MessageSent(1, 0, "bar_up", 2, 50, 60, None, 1))
+        assert [m.kind for m in collector.trace(1).messages] == ["rreq"]
+        assert not collector.collector._open
+        assert len(collector) == 1
+
+    def test_late_message_overlapping_the_stall_raises(self):
+        bus, _collector = self.fed_collector()
+        with pytest.raises(ValueError, match="transaction 1 "):
+            bus.message(MessageSent(1, 0, "ack", 2, 40, 60, 7, 1))
+
+    def test_late_event_of_an_older_transaction(self):
+        # Node 0's next id is 5 (ids stride by n_nodes = 4).  An event
+        # of txn 1 at or after txn 5's start is past txn 1's stall;
+        # one before it cannot be checked and raises.
+        bus, _collector = self.fed_collector()
+        bus.stall(StallSpan(0, 100, 150, "read", 8, 5))
+        bus.trap(TrapPosted(0, "read", 100, 30, 1, 1))
+        with pytest.raises(ValueError, match="transaction 1 "):
+            bus.trap(TrapPosted(0, "read", 60, 30, 1, 1))

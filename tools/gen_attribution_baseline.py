@@ -25,14 +25,10 @@ sys.path.insert(
 
 from repro.cli import DEFAULT_BASELINE, main  # noqa: E402
 
-BASELINE_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(__file__)), DEFAULT_BASELINE,
-)
-
 
 if __name__ == "__main__":
-    os.makedirs(os.path.dirname(BASELINE_PATH), exist_ok=True)
+    os.makedirs(os.path.dirname(DEFAULT_BASELINE), exist_ok=True)
     # The baseline IS the default `repro analyze` artifact; going
     # through the CLI keeps the two from drifting apart.
-    code = main(["analyze", "--out", BASELINE_PATH])
+    code = main(["analyze", "--out", DEFAULT_BASELINE])
     sys.exit(code)
