@@ -565,7 +565,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = AttributionReport.attach(machine)
+    report = AttributionReport.attach(
+        machine, transitions=args.show_txn is not None)
     shown: List[TransactionTrace] = []
     if args.show_txn is not None:
         def keep(stall: StallSpan,

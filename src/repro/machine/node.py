@@ -30,6 +30,9 @@ _HOME_SIDE = frozenset(
     {msg.RREQ, msg.WREQ, msg.ACK, msg.FETCH_DATA, msg.EVICT_WB, msg.RELINQ}
 )
 _BARRIER = frozenset({msg.BAR_UP, msg.BAR_DOWN})
+#: kinds that belong to a coherence transaction; barrier, lock and
+#: reduction messages never do
+_COHERENCE = _CACHE_SIDE | _HOME_SIDE
 
 HomeController = HomeProtocolEngine
 
@@ -80,10 +83,13 @@ class Node:
         """Launch a protocol (or barrier) message into the fabric.
 
         ``txn`` tags the message with the transaction it serves; when
-        omitted it defaults to the transaction whose message is being
-        dispatched right now (``current_txn``), which covers every
-        synchronous response path (grants, invalidations, acks, busy
-        replies, fetches) without the protocol code having to thread it.
+        omitted, a coherence message defaults to the transaction whose
+        message is being dispatched right now (``current_txn``), which
+        covers every synchronous response path (grants, invalidations,
+        acks, busy replies, fetches) without the protocol code having
+        to thread it.  Barrier, lock and reduction messages stay
+        untagged: one sent while a node resumes from a data grant is
+        not part of the miss that grant completed.
         """
         try:
             size = self._msg_flits[kind]
@@ -92,7 +98,7 @@ class Node:
             size = message_size(kind, params.header_flits,
                                 params.data_flits)
         self.stats.messages_sent[kind] += 1
-        if txn is None:
+        if txn is None and kind in _COHERENCE:
             txn = self.current_txn
         # Positional arguments: keyword binding is a measurable share
         # of constructing two objects per protocol message.

@@ -25,11 +25,19 @@ sw_context_wait    user code waiting for the busy software context
 ================== ==================================================
 
 The decomposition is **exact by construction**: each
-:class:`~repro.obs.events.StallSpan` ``[start, end)`` is swept as a set
-of elementary segments, every segment is assigned to exactly one bucket
-(overlaps resolved by a fixed priority, gaps classified by what the
-transaction was waiting on), so the bucket totals sum cycle-for-cycle
-to ``RunStats``' total stall count.  No sampling, no residual.
+:class:`~repro.obs.events.StallSpan` ``[start, end)`` is cut into
+elementary segments at every edge of its activity intervals, and every
+segment is assigned to exactly one bucket (overlaps resolved by a fixed
+priority, gaps classified by what the transaction was waiting on), so
+the bucket totals sum cycle-for-cycle to ``RunStats``' total stall
+count.  No sampling, no residual.  Each overlap priority names exactly
+one bucket, so one sweep over the sorted interval edges, keeping a live
+count per priority, finds every segment's bucket: O(n log n) in a
+stall's intervals, not a scan of all of them per segment.
+
+Attribution reads stalls, messages, traps and handler spans.  It
+leaves the bus's ``transition`` channel unsubscribed unless a trace is
+to be shown (:meth:`AttributionReport.attach`).
 
 Everything here is a pure function of collected events — deterministic,
 no wall-clock — so the JSON artifact (:func:`attribution_dict`) is
@@ -105,6 +113,32 @@ _DEFAULT_MSG_BUCKET = ("network_transit", 1)
 _HANDLER_PRIO = 6
 _TRAP_WAIT_PRIO = 5
 
+#: message kind -> overlap priority
+_MSG_PRIO: Dict[str, int] = {
+    kind: prio for kind, (_bucket, prio) in _MSG_BUCKETS.items()
+}
+_DEFAULT_MSG_PRIO = _DEFAULT_MSG_BUCKET[1]
+
+
+def _prio_buckets() -> Tuple[Optional[str], ...]:
+    """Overlap priority -> the one bucket it names (index 0, no live
+    activity, names none): the sweep's answer for a covered segment."""
+    named = list(_MSG_BUCKETS.values()) + [
+        _DEFAULT_MSG_BUCKET,
+        ("trap_dispatch", _TRAP_WAIT_PRIO),
+        ("handler_execution", _HANDLER_PRIO),
+    ]
+    table: List[Optional[str]] = [None] * (max(p for _b, p in named) + 1)
+    for bucket, prio in named:
+        if table[prio] not in (None, bucket):
+            raise ValueError(f"overlap priority {prio} names both "
+                             f"{table[prio]} and {bucket}")
+        table[prio] = bucket
+    return tuple(table)
+
+
+_PRIO_BUCKET = _prio_buckets()
+
 
 def attribute_stall(stall: StallSpan,
                     trace: Optional[TransactionTrace] = None
@@ -115,6 +149,11 @@ def attribute_stall(stall: StallSpan,
     opened no transaction (ifetch / lock / reduce / sw_wait — or a data
     miss observed without a trace, which only happens if the message
     channel was not recorded) map wholesale to their kind's bucket.
+
+    A data miss is split by one sweep over its activity intervals'
+    edges: each ``(time, +prio)`` / ``(time, -prio)`` edge moves a live
+    count per overlap priority, and the cycles up to the next edge go
+    to the bucket of the highest live priority.
     """
     s, e = stall.start, stall.end
     if e <= s:
@@ -123,78 +162,92 @@ def attribute_stall(stall: StallSpan,
         bucket = _STALL_KIND_BUCKET.get(stall.kind, "cache_lookup")
         return {bucket: e - s}
 
-    # -- labelled activity intervals, clipped to the stall window ------
-    intervals: List[Tuple[int, int, int, str]] = []
-    #: (clipped end, sent order) -> message kind, for gap classification
+    # -- activity interval edges, clipped to the stall window ----------
+    edges: List[Tuple[int, int]] = []
+    #: (clipped end, sent order, message kind), for gap classification
     ends: List[Tuple[int, int, str]] = []
+    prio_of = _MSG_PRIO.get
     for order, m in enumerate(trace.messages):
-        lo, hi = max(m.sent_at, s), min(m.delivered_at, e)
+        lo = m.sent_at if m.sent_at > s else s
+        hi = m.delivered_at if m.delivered_at < e else e
         if lo < hi:
-            bucket, prio = _MSG_BUCKETS.get(m.kind, _DEFAULT_MSG_BUCKET)
-            intervals.append((lo, hi, prio, bucket))
+            prio = prio_of(m.kind, _DEFAULT_MSG_PRIO)
+            edges.append((lo, prio))
+            edges.append((hi, -prio))
             ends.append((hi, order, m.kind))
-    for h in trace.handlers:
-        lo, hi = max(h.start, s), min(h.end, e)
-        if lo < hi:
-            intervals.append((lo, hi, _HANDLER_PRIO, "handler_execution"))
-    # Trap-to-handler dispatch wait: pair traps with handler spans per
-    # node in posting order (run_handler emits the trap immediately
-    # before queueing its handler, so order matches by construction).
-    by_node: Dict[int, List] = {}
-    for h in trace.handlers:
-        by_node.setdefault(h.node, []).append(h)
-    seen: Dict[int, int] = {}
-    for t in trace.traps:
-        queue = by_node.get(t.node, ())
-        index = seen.get(t.node, 0)
-        seen[t.node] = index + 1
-        if index >= len(queue):
-            continue
-        h = queue[index]
-        lo, hi = max(t.at, s), min(h.start, e)
-        if lo < hi:
-            intervals.append((lo, hi, _TRAP_WAIT_PRIO, "trap_dispatch"))
+    if trace.handlers:
+        by_node: Dict[int, List] = {}
+        for h in trace.handlers:
+            lo = h.start if h.start > s else s
+            hi = h.end if h.end < e else e
+            if lo < hi:
+                edges.append((lo, _HANDLER_PRIO))
+                edges.append((hi, -_HANDLER_PRIO))
+            by_node.setdefault(h.node, []).append(h)
+        # Trap-to-handler dispatch wait: pair traps with handler spans
+        # per node in posting order (run_handler emits the trap
+        # immediately before queueing its handler, so order matches by
+        # construction).  A trap with no handler has no wait interval.
+        seen: Dict[int, int] = {}
+        for t in trace.traps:
+            queue = by_node.get(t.node, ())
+            index = seen.get(t.node, 0)
+            seen[t.node] = index + 1
+            if index >= len(queue):
+                continue
+            lo = t.at if t.at > s else s
+            hi = queue[index].start
+            if hi > e:
+                hi = e
+            if lo < hi:
+                edges.append((lo, _TRAP_WAIT_PRIO))
+                edges.append((hi, -_TRAP_WAIT_PRIO))
 
-    if not intervals:
+    if not edges:
         return {"cache_lookup": e - s}
-
-    # -- sweep elementary segments -------------------------------------
-    points = {s, e}
-    first_start = e
-    for lo, hi, _prio, _bucket in intervals:
-        points.add(lo)
-        points.add(hi)
-        if lo < first_start:
-            first_start = lo
-    bounds = sorted(points)
+    edges.sort()
+    edges.append((e, 0))  # closes the last segment; moves no count
     ends.sort()
 
+    # -- one sweep over the sorted edges -------------------------------
+    # Before the first interval opens the miss is being detected and
+    # composed.  A later gap, with nothing of the transaction in
+    # flight, is retry backoff if the last message delivered was BUSY
+    # and the home holding the transaction otherwise.
     result: Dict[str, int] = {}
+    at = edges[0][0]
+    if at > s:
+        result["cache_lookup"] = at - s
+    live = [0] * len(_PRIO_BUCKET)
+    live[0] = 1  # sentinel: the walk down to the top live priority stops
+    covered = [0] * len(_PRIO_BUCKET)
+    top = 0
     ei = 0
     last_delivered: Optional[str] = None
-    for i in range(len(bounds) - 1):
-        lo, hi = bounds[i], bounds[i + 1]
-        while ei < len(ends) and ends[ei][0] <= lo:
-            last_delivered = ends[ei][2]
-            ei += 1
-        best_prio = 0
-        bucket = ""
-        for ilo, ihi, prio, ibucket in intervals:
-            if ilo <= lo and hi <= ihi and prio > best_prio:
-                best_prio = prio
-                bucket = ibucket
-        if not bucket:
-            # A gap: nothing of this transaction is in flight.  Before
-            # the first message it is the miss being detected/composed;
-            # after a BUSY it is retry backoff; otherwise the home (or
-            # its memory) is holding the transaction.
-            if lo < first_start:
-                bucket = "cache_lookup"
-            elif last_delivered == "busy":
-                bucket = "retry"
+    for t, prio in edges:
+        if t > at:
+            if top:
+                covered[top] += t - at
             else:
-                bucket = "home_occupancy"
-        result[bucket] = result.get(bucket, 0) + (hi - lo)
+                while ei < len(ends) and ends[ei][0] <= at:
+                    last_delivered = ends[ei][2]
+                    ei += 1
+                gap = "retry" if last_delivered == "busy" \
+                    else "home_occupancy"
+                result[gap] = result.get(gap, 0) + (t - at)
+            at = t
+        if prio > 0:
+            live[prio] += 1
+            if prio > top:
+                top = prio
+        elif prio < 0:
+            live[-prio] -= 1
+            while not live[top]:
+                top -= 1
+    for prio, cycles in enumerate(covered):
+        if cycles:
+            bucket = _PRIO_BUCKET[prio]
+            result[bucket] = result.get(bucket, 0) + cycles
     return result
 
 
@@ -219,11 +272,19 @@ class AttributionReport:
         self.collector: Optional[SpanCollector] = None
 
     @classmethod
-    def attach(cls, machine: "Machine") -> "AttributionReport":
+    def attach(cls, machine: "Machine",
+               transitions: bool = False) -> "AttributionReport":
         """A report fed by a new collector on ``machine``'s bus; it is
-        complete once ``machine.run`` returns."""
+        complete once ``machine.run`` returns.
+
+        The split never reads directory transitions, so the collector
+        subscribes to the ``transition`` channel only when
+        ``transitions`` is set (to show a trace with
+        :func:`~repro.obs.spans.format_trace`).
+        """
         report = cls()
-        report.collector = SpanCollector.attach(machine)
+        report.collector = SpanCollector.attach(machine,
+                                                transitions=transitions)
         report.collector.on_complete.append(report.add)
         return report
 
@@ -239,8 +300,7 @@ class AttributionReport:
         per_kind = self.by_stall_kind.setdefault(stall.kind, {})
         totals = self.totals
         record = self.hists.record
-        for bucket in sorted(parts):
-            cycles = parts[bucket]
+        for bucket, cycles in parts.items():
             totals[bucket] = totals.get(bucket, 0) + cycles
             per_kind[bucket] = per_kind.get(bucket, 0) + cycles
             record(bucket, cycles)

@@ -38,6 +38,14 @@ transition ``core/protocol/engine.py`` dispatch  :class:`TransitionApplied`
 queue (``Fabric._receive``), once its delivery time is known; a
 loopback message, whose delivery time is fixed at once, fires in
 ``send``, and so does every message of the detailed network.
+
+Attribution (:mod:`repro.obs.attribution`) listens on ``stall``,
+``handler``, ``trap`` and ``message`` only.  It leaves ``transition``
+unsubscribed, so an attributed run builds no
+:class:`TransitionApplied` and the home engine keeps its unobserved
+dispatch path; only a trace printed with
+:func:`~repro.obs.spans.format_trace` (``repro analyze --show-txn``)
+subscribes it.
 """
 
 from __future__ import annotations

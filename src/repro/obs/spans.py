@@ -99,9 +99,11 @@ class SpanCollector:
     run's memory stays flat however many transactions it completes.
 
     An event can still arrive for a transaction whose stall has ended:
-    barrier messages sent after a miss carry its id, and the fabric
-    reports a message only when it reaches the receive queue.  Such an
-    event is dropped if it starts at or after the stall's end, where
+    the home can apply a directory transition after the requester has
+    resumed, and the fabric reports a message only when it reaches the
+    receive queue.  (Barrier, lock and reduction messages carry no
+    transaction id, so they never arrive late.)  Such an event is
+    dropped if it starts at or after the stall's end, where
     clipping to the stall window would give it zero cycles anyway (a
     trap and its handler span are emitted together, so both are
     dropped and the trap/handler pairing is unchanged).  An event that
@@ -126,15 +128,23 @@ class SpanCollector:
     # ------------------------------------------------------------------
 
     @classmethod
-    def attach(cls, machine: "Machine") -> "SpanCollector":
-        """Create a collector subscribed to ``machine``'s bus."""
+    def attach(cls, machine: "Machine",
+               transitions: bool = True) -> "SpanCollector":
+        """Create a collector subscribed to ``machine``'s bus.
+
+        ``transitions=False`` leaves the ``transition`` channel
+        unsubscribed: traces then carry no directory transitions, which
+        only :func:`format_trace` shows, and the home engine keeps its
+        unobserved dispatch path.
+        """
         self = cls(machine.params.n_nodes)
         bus = machine.observe()
         bus.on_stall.append(self._on_stall)
         bus.on_handler.append(self._on_handler)
         bus.on_trap.append(self._on_trap)
         bus.on_message.append(self._on_message)
-        bus.on_transition.append(self._on_transition)
+        if transitions:
+            bus.on_transition.append(self._on_transition)
         return self
 
     def _open_trace(self, txn: int,

@@ -12,17 +12,28 @@ import os
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.regression import diff_attributions, format_diff
 from repro.core.software.costmodel import CostModel, HandlerCost
 from repro.exec.jobs import execute_job, make_job
 from repro.machine.machine import Machine
+from repro.machine.node import _BARRIER
 from repro.machine.params import MachineParams
+from repro.machine.sync import LOCK_KINDS, REDUCE_KINDS
 from repro.obs import (
     BUCKETS,
     AttributionReport,
     attribute_stall,
     attribution_dict,
+)
+from repro.obs.attribution import (
+    _DEFAULT_MSG_BUCKET,
+    _HANDLER_PRIO,
+    _MSG_BUCKETS,
+    _STALL_KIND_BUCKET,
+    _TRAP_WAIT_PRIO,
 )
 from repro.obs.events import (
     HandlerSpan,
@@ -30,10 +41,12 @@ from repro.obs.events import (
     StallSpan,
     TrapPosted,
 )
-from repro.obs.spans import TransactionTrace
+from repro.obs.spans import SpanCollector, TransactionTrace
 from repro.workloads.aq import AdaptiveQuadrature
 from repro.workloads.tsp import TSP
 from repro.workloads.worker import WorkerBenchmark
+
+from tests.helpers import ScriptWorkload
 
 DIGESTS_PATH = os.path.join(os.path.dirname(__file__), "data",
                             "attribution_digests.json")
@@ -148,6 +161,156 @@ class TestAttributeStall:
         # only possible when message events were not recorded
         stall = StallSpan(node=0, start=0, end=40, kind="read", txn=9)
         assert attribute_stall(stall, None) == {"cache_lookup": 40}
+
+
+# ----------------------------------------------------------------------
+# The edge sweep against a direct per-segment scan
+# ----------------------------------------------------------------------
+
+
+def reference_attribute_stall(stall, trace=None):
+    """``attribute_stall`` written as a direct scan: every elementary
+    segment searches every interval for the highest-priority one that
+    covers it.  Quadratic, and the oracle the edge sweep must match."""
+    s, e = stall.start, stall.end
+    if e <= s:
+        return {}
+    if stall.kind not in ("read", "write") or trace is None:
+        bucket = _STALL_KIND_BUCKET.get(stall.kind, "cache_lookup")
+        return {bucket: e - s}
+
+    intervals = []
+    #: (clipped end, sent order, message kind), for gap classification
+    ends = []
+    for order, m in enumerate(trace.messages):
+        lo, hi = max(m.sent_at, s), min(m.delivered_at, e)
+        if lo < hi:
+            bucket, prio = _MSG_BUCKETS.get(m.kind, _DEFAULT_MSG_BUCKET)
+            intervals.append((lo, hi, prio, bucket))
+            ends.append((hi, order, m.kind))
+    for h in trace.handlers:
+        lo, hi = max(h.start, s), min(h.end, e)
+        if lo < hi:
+            intervals.append((lo, hi, _HANDLER_PRIO, "handler_execution"))
+    by_node = {}
+    for h in trace.handlers:
+        by_node.setdefault(h.node, []).append(h)
+    seen = {}
+    for t in trace.traps:
+        queue = by_node.get(t.node, ())
+        index = seen.get(t.node, 0)
+        seen[t.node] = index + 1
+        if index >= len(queue):
+            continue
+        lo, hi = max(t.at, s), min(queue[index].start, e)
+        if lo < hi:
+            intervals.append((lo, hi, _TRAP_WAIT_PRIO, "trap_dispatch"))
+
+    if not intervals:
+        return {"cache_lookup": e - s}
+
+    points = {s, e}
+    first_start = e
+    for lo, hi, _prio, _bucket in intervals:
+        points.add(lo)
+        points.add(hi)
+        first_start = min(first_start, lo)
+    bounds = sorted(points)
+    ends.sort()
+
+    result = {}
+    ei = 0
+    last_delivered = None
+    for lo, hi in zip(bounds, bounds[1:]):
+        while ei < len(ends) and ends[ei][0] <= lo:
+            last_delivered = ends[ei][2]
+            ei += 1
+        best_prio = 0
+        bucket = ""
+        for ilo, ihi, prio, ibucket in intervals:
+            if ilo <= lo and hi <= ihi and prio > best_prio:
+                best_prio = prio
+                bucket = ibucket
+        if not bucket:
+            if lo < first_start:
+                bucket = "cache_lookup"
+            elif last_delivered == "busy":
+                bucket = "retry"
+            else:
+                bucket = "home_occupancy"
+        result[bucket] = result.get(bucket, 0) + (hi - lo)
+    return result
+
+
+#: times drawn from a narrow range, so endpoints are often shared and
+#: intervals often reach past the stall window on either side
+_TIME = st.integers(min_value=0, max_value=40)
+_NODE = st.integers(min_value=0, max_value=2)
+
+
+@st.composite
+def _span(draw):
+    a, b = draw(_TIME), draw(_TIME)
+    return min(a, b), max(a, b)
+
+
+@st.composite
+def _messages(draw):
+    out = []
+    for kind in draw(st.lists(st.sampled_from(
+            ["busy", "inv", "ack", "fetch_data", "rreq", "rdata"]),
+            max_size=8)):
+        lo, hi = draw(_span())
+        out.append(MessageSent(0, 1, kind, 2, lo, hi, block=7, txn=1))
+    return out
+
+
+@st.composite
+def _handlers(draw):
+    out = []
+    for node in draw(st.lists(_NODE, max_size=4)):
+        lo, hi = draw(_span())
+        out.append(HandlerSpan(node, lo, hi, "read", "flexible", 1,
+                               hi - lo, txn=1))
+    return out
+
+
+@st.composite
+def _traps(draw):
+    return [TrapPosted(node, "read", at, 10, 1, txn=1)
+            for node, at in draw(st.lists(st.tuples(_NODE, _TIME),
+                                          max_size=5))]
+
+
+class TestSweepMatchesReference:
+    @settings(max_examples=400, deadline=None)
+    @given(window=_span(), kind=st.sampled_from(["read", "write"]),
+           messages=_messages(), handlers=_handlers(), traps=_traps())
+    def test_generated_traces(self, window, kind, messages, handlers,
+                              traps):
+        stall = StallSpan(node=0, start=window[0], end=window[1],
+                          kind=kind, block=7, txn=1)
+        trace = synthetic_trace(stall, messages, handlers, traps)
+        parts = attribute_stall(stall, trace)
+        assert parts == reference_attribute_stall(stall, trace)
+        assert sum(parts.values()) == stall.latency
+
+    def test_every_stall_of_a_software_worker_run(self):
+        # DirnH1SNB,ACK traps to software, runs handlers and sends BUSY
+        # replies, so every bucket kind and the trap pairing are hit.
+        machine = Machine(MachineParams(n_nodes=16),
+                          protocol="DirnH1SNB,ACK")
+        collector = SpanCollector.attach(machine)
+        pairs = []
+        collector.on_complete.append(lambda s, t: pairs.append((s, t)))
+        machine.run(WorkerBenchmark(worker_set_size=6, iterations=2))
+        traced = [t for _s, t in pairs if t is not None]
+        assert any(t.handlers for t in traced)
+        assert any(t.traps for t in traced)
+        assert any(t.retries for t in traced)
+        for stall, trace in pairs:
+            assert attribute_stall(stall, trace) == \
+                reference_attribute_stall(stall, trace)
 
 
 # ----------------------------------------------------------------------
@@ -334,9 +497,10 @@ with open(DIGESTS_PATH, encoding="utf-8") as _fh:
 
 
 class TestPinnedDigests:
-    """AQ, TSP and ``tsp64`` send barrier messages tagged with an
-    already-completed transaction; the streamed report must still hash
-    like the one built from whole-run traces."""
+    """The streamed report must hash like the one built from whole-run
+    traces before streaming.  AQ, TSP and ``tsp64`` then also tagged
+    barrier messages with an already-completed transaction; those
+    events added no cycles, so untagging them moves no digest."""
 
     @pytest.mark.parametrize("config", _DIGEST_CONFIGS,
                              ids=[c["name"] for c in _DIGEST_CONFIGS])
@@ -352,3 +516,54 @@ class TestPinnedDigests:
         blob = json.dumps(doc, sort_keys=True).encode("utf-8")
         assert hashlib.sha256(blob).hexdigest() == \
             config["attribution_sha256"]
+
+
+_SYNC_KINDS = _BARRIER | LOCK_KINDS | REDUCE_KINDS
+
+
+def sync_messages(machine, workload):
+    """Run ``workload``; every barrier, lock and reduction message seen
+    on the ``message`` channel, as ``(kind, txn)``."""
+    seen = []
+
+    def on_message(ev):
+        if ev.kind in _SYNC_KINDS:
+            seen.append((ev.kind, ev.txn))
+
+    machine.observe().on_message.append(on_message)
+    machine.run(workload)
+    return seen
+
+
+class TestSyncMessagesUntagged:
+    """Barrier, lock and reduction messages belong to no coherence
+    transaction, even when sent while a node resumes from a miss's
+    data grant."""
+
+    @pytest.mark.parametrize("name", [
+        "aq-DirnH5SNB", "tsp-n16-DirnH5SNB", "tsp64-1654615998",
+    ])
+    def test_application_barriers(self, name):
+        config = next(c for c in _DIGEST_CONFIGS if c["name"] == name)
+        machine = Machine(MachineParams(n_nodes=config["n_nodes"]),
+                          protocol=config["protocol"])
+        workload = _WORKLOADS[config["workload"]](**config["kwargs"])
+        seen = sync_messages(machine, workload)
+        assert {kind for kind, _txn in seen} == set(_BARRIER)
+        assert [m for m in seen if m[1] is not None] == []
+
+    def test_locks_and_reductions_after_a_miss(self):
+        machine = Machine(MachineParams(n_nodes=4), protocol="DirnH2SNB")
+        block = machine.heap.alloc_block(0)
+        lock = machine.create_lock(home=0)
+        rid = machine.create_reduction(lambda a, b: a + b)
+        # each lock request and reduction is sent on the resume from a
+        # read miss's data grant
+        scripts = {node: [("read", block), ("lock", lock),
+                          ("unlock", lock), ("write", block),
+                          ("reduce", rid, node)]
+                   for node in range(4)}
+        seen = sync_messages(machine, ScriptWorkload(scripts))
+        kinds = {kind for kind, _txn in seen}
+        assert "lock_req" in kinds and "reduce_up" in kinds
+        assert [m for m in seen if m[1] is not None] == []

@@ -237,12 +237,18 @@ class TestAnalyze:
         run_cli(capsys, *self.ARGS, "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
-    def test_show_txn_prints_a_trace(self, capsys):
+    def test_show_txn_prints_a_trace(self, capsys, tmp_path):
+        shown, plain = tmp_path / "shown.json", tmp_path / "plain.json"
         code = main(list(self.ARGS) + ["--show-txn", "1",
-                                       "--out", "-"])
+                                       "--out", str(shown)])
         captured = capsys.readouterr()
         assert code == 0
         assert "txn 1:" in captured.err
+        # the trace keeps its directory transitions
+        assert "\n  dir  " in captured.err
+        # and asking for it leaves the artifact as it is
+        run_cli(capsys, *self.ARGS, "--out", str(plain))
+        assert shown.read_bytes() == plain.read_bytes()
 
     def test_show_txn_explains_a_missing_id(self, capsys):
         # ids are striped by node, so the count bounds none of them
