@@ -575,6 +575,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                 shown.append(trace)
 
         report.collector.on_complete.append(keep)
+        report.collector.keep(args.show_txn)
     if args.app == "worker":
         workload = WorkerBenchmark(worker_set_size=args.size,
                                    iterations=args.iterations)

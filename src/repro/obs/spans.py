@@ -110,7 +110,9 @@ class SpanCollector:
     starts *before* the end would have changed the attribution and
     raises :class:`ValueError`.  Ids are node-striped and each node
     has one miss outstanding, so the node's last completed stall is
-    the whole record this check needs.
+    the whole record this check needs.  A transaction named with
+    :meth:`keep` is the exception: its late events are appended to
+    the trace already handed on, so a shown trace is whole.
     """
 
     def __init__(self, n_nodes: int) -> None:
@@ -119,6 +121,8 @@ class SpanCollector:
         #: per node, its most recently completed data-miss stall
         self._closed: List[Optional[StallSpan]] = [None] * n_nodes
         self._seen = 0
+        #: ids whose traces take late events; completed ones by id
+        self._keep: Dict[int, Optional[TransactionTrace]] = {}
         #: completion subscribers, called as ``fn(stall, trace)``
         self.on_complete: List[
             Callable[[StallSpan, Optional[TransactionTrace]], None]] = []
@@ -147,20 +151,29 @@ class SpanCollector:
             bus.on_transition.append(self._on_transition)
         return self
 
+    def keep(self, txn: int) -> None:
+        """Append the events that arrive for ``txn`` after its stall
+        has ended to its trace instead of dropping them; call it before
+        the stall completes.  Completion subscribers have already
+        consumed the trace by then, so the attribution is the same
+        whether or not a transaction is kept."""
+        self._keep[txn] = None
+
     def _open_trace(self, txn: int,
                     start: int) -> Optional[TransactionTrace]:
         """Open a trace for ``txn``, whose event starts at ``start`` and
-        found no open trace; ``None`` if the transaction has completed
-        and the event lies past its stall.  The event handlers call it
-        as ``self._open.get(txn) or self._open_trace(...)``, which
-        relies on a :class:`TransactionTrace` always being truthy."""
+        found no open trace.  If the transaction has completed and the
+        event lies past its stall, it is the trace :meth:`keep` kept,
+        else ``None``.  The event handlers call it as
+        ``self._open.get(txn) or self._open_trace(...)``, which relies
+        on a :class:`TransactionTrace` always being truthy."""
         closed = self._closed[(txn - 1) % self._n_nodes]
         if closed is not None and txn <= closed.txn:
             # ``txn``'s stall ended at ``closed.end`` if it is the
             # node's latest, else no later than ``closed.start``.
             bound = closed.end if txn == closed.txn else closed.start
             if start >= bound:
-                return None
+                return self._keep.get(txn)
             raise ValueError(
                 f"event for completed transaction {txn} starts at cycle "
                 f"{start}, before cycle {bound}, so it may overlap the "
@@ -179,6 +192,8 @@ class SpanCollector:
                 self._seen += 1
             trace.stall = ev
             self._closed[ev.node] = ev
+            if txn in self._keep:
+                self._keep[txn] = trace
         for fn in self.on_complete:
             fn(ev, trace)
 

@@ -156,16 +156,9 @@ class TSP(Workload):
     # Search
     # ------------------------------------------------------------------
 
-    def _lower_bound(self, remaining: frozenset) -> int:
-        return sum(self._min_out[c] for c in remaining)
-
-    def _prefix_cost(self, prefix: Tuple[int, ...]) -> int:
-        return sum(self.dist[a][b] for a, b in zip(prefix, prefix[1:]))
-
     def thread(self, machine: "Machine", node_id: int) -> Iterator[Op]:
         n_nodes = machine.params.n_nodes
         code = self._code
-        runtime_code = self._runtime_code
         best = self.optimal  # the seeded bound
         local_best = None
         local_expansions = 0
@@ -177,37 +170,62 @@ class TSP(Workload):
         yield ("read", self.count_addr)
         yield ("barrier",)
 
-        all_cities = frozenset(range(self.n_cities))
-        for index, prefix in enumerate(self._prefixes):
-            if index % n_nodes != node_id:
-                continue
-            # Depth-first branch and bound below this prefix.
-            stack = [(prefix, self._prefix_cost(prefix))]
+        # The search's ops, built once (the processor only reads them).
+        runtime_op = ("compute", 24, self._runtime_code)
+        expand_op = ("compute", EXPAND_CYCLES, code)
+        read_count = ("read", self.count_addr)
+        read_best = ("read", self.best_addr)
+        read_row = [("read", addr) for addr in self.dist_rows]
+        write_scratch = ("write", self._scratch[node_id])
+        period = self.runtime_period
+        dist = self.dist
+        min_out = self._min_out
+        full = (1 << self.n_cities) - 1
+        # Every prefix starts at city 0, so only cities 1..n-1 can be
+        # children; highest first, so the stack pops them lowest first.
+        descending = [(c, 1 << c) for c in range(self.n_cities - 1, 0, -1)]
+        all_min_out = sum(min_out)
+
+        for prefix in self._prefixes[node_id::n_nodes]:
+            # Depth-first branch and bound below this prefix.  A stack
+            # entry is (last city, visited bitmask, lower bound of the
+            # unvisited cities, cost so far), each carried forward from
+            # its parent's.
+            mask = 0
+            bound = all_min_out
+            for city in prefix:
+                mask |= 1 << city
+                bound -= min_out[city]
+            cost = sum(dist[a][b] for a, b in zip(prefix, prefix[1:]))
+            stack = [(prefix[-1], mask, bound, cost)]
+            pop = stack.pop
+            push = stack.append
             while stack:
-                path, cost = stack.pop()
+                last, mask, bound, cost = pop()
                 self.expansions += 1
                 local_expansions += 1
-                if local_expansions % self.runtime_period == 0:
+                if local_expansions % period == 0:
                     # The Mul-T runtime runs (task bookkeeping); its
                     # instruction lines may evict the hot shared blocks.
-                    yield ("compute", 24, runtime_code)
-                yield ("compute", EXPAND_CYCLES, code)
-                yield ("read", self.count_addr)
-                yield ("read", self.best_addr)
-                yield ("read", self.dist_rows[path[-1]])
-                remaining = all_cities.difference(path)
-                if not remaining:
-                    total = cost + self.dist[path[-1]][0]
-                    yield ("write", self._scratch[node_id])
+                    yield runtime_op
+                yield expand_op
+                yield read_count
+                yield read_best
+                yield read_row[last]
+                if mask == full:
+                    total = cost + dist[last][0]
+                    yield write_scratch
                     if total <= best:
                         best = total
                         local_best = total
                     continue
-                if cost + self._lower_bound(remaining) > best:
+                if cost + bound > best:
                     continue  # pruned
-                for child in sorted(remaining, reverse=True):
-                    stack.append((path + (child,),
-                                  cost + self.dist[path[-1]][child]))
+                row = dist[last]
+                for child, bit in descending:
+                    if not mask & bit:
+                        push((child, mask | bit, bound - min_out[child],
+                              cost + row[child]))
 
         # Publish the node's best and reduce on node 0.
         yield ("compute", 10, code)

@@ -250,6 +250,22 @@ class TestAnalyze:
         run_cli(capsys, *self.ARGS, "--out", str(plain))
         assert shown.read_bytes() == plain.read_bytes()
 
+    def test_show_txn_keeps_transitions_after_the_stall(self, capsys,
+                                                        tmp_path):
+        # TSP's txn 578 (node 1's read miss, [39945..39985)) evicts a
+        # dirty line homed at node 1 as it fills; the home applies the
+        # write-back at cycle 39986, after the stall has ended.
+        args = ["analyze", "--app", "tsp", "--no-victim-cache"]
+        shown, plain = tmp_path / "shown.json", tmp_path / "plain.json"
+        code = main(args + ["--show-txn", "578", "--out", str(shown)])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "txn 578: node 1 read miss" in captured.err
+        assert ("\n  dir  evict_wb   @home 1 read_write->absent "
+                "(writeback_release) @39986" in captured.err)
+        run_cli(capsys, *args, "--out", str(plain))
+        assert shown.read_bytes() == plain.read_bytes()
+
     def test_show_txn_explains_a_missing_id(self, capsys):
         # ids are striped by node, so the count bounds none of them
         code = main(list(self.ARGS) + ["--show-txn", "1000000",

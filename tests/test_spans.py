@@ -16,6 +16,7 @@ from repro.obs import (
     MessageSent,
     SpanCollector,
     StallSpan,
+    TransitionApplied,
     TrapPosted,
     format_trace,
 )
@@ -202,6 +203,24 @@ class TestStreaming:
         bus, collector = self.fed_collector()
         bus.message(MessageSent(1, 0, "bar_up", 2, 50, 60, None, 1))
         assert [m.kind for m in collector.trace(1).messages] == ["rreq"]
+        assert not collector.collector._open
+        assert len(collector) == 1
+
+    def test_kept_transaction_takes_late_events(self):
+        machine = tiny_machine(n_nodes=4)
+        collector = CompletedTraces(SpanCollector.attach(machine))
+        collector.collector.keep(1)
+        bus = machine.obs
+        bus.message(MessageSent(0, 1, "rreq", 2, 0, 10, 7, 1))
+        bus.stall(StallSpan(0, 0, 50, "read", 7, 1))
+        bus.transition(TransitionApplied(1, 51, "evict_wb", 0, 7,
+                                         "read_write", "absent",
+                                         "writeback_release", None, False,
+                                         1))
+        bus.message(MessageSent(1, 0, "ack", 2, 60, 70, 7, 1))
+        trace = collector.trace(1)
+        assert [t.event for t in trace.transitions] == ["evict_wb"]
+        assert [m.kind for m in trace.messages] == ["rreq", "ack"]
         assert not collector.collector._open
         assert len(collector) == 1
 
