@@ -133,7 +133,7 @@ class CacheController:
     # ------------------------------------------------------------------
 
     def handle(self, message: "Message") -> None:
-        block = message.payload.block
+        block = message.block
         kind = message.kind
         if kind == msg.RDATA:
             self._on_data(block, CacheState.READ_ONLY)

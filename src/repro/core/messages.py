@@ -8,10 +8,6 @@ messages carry ``header_flits``; data-bearing messages additionally carry
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.common.types import BlockId, NodeId
-
 # Requests (cache -> home)
 RREQ = "rreq"  # read (shared) request
 WREQ = "wreq"  # write (exclusive) request / upgrade
@@ -36,42 +32,6 @@ BAR_DOWN = "bar_down"
 
 DATA_BEARING = frozenset({RDATA, WDATA, EVICT_WB, FETCH_DATA})
 REQUESTS = frozenset({RREQ, WREQ})
-
-
-class ProtoPayload:
-    """Payload of a coherence message.
-
-    ``requester`` identifies the node the home node is acting for; for
-    request messages it equals the message source.
-
-    ``txn`` is observability metadata only: the transaction id of the
-    data miss this message serves (or ``None``), carried so tracing can
-    attribute fabric traffic to the miss that caused it.  The protocol
-    never branches on it.
-
-    Allocated once per coherence message (a hot path), so it is a
-    ``__slots__`` holder instead of a dataclass — no per-instance
-    ``__dict__``, cheaper construction.
-    """
-
-    __slots__ = ("block", "requester", "txn")
-
-    def __init__(self, block: BlockId,
-                 requester: Optional[NodeId] = None,
-                 txn: Optional[int] = None) -> None:
-        self.block = block
-        self.requester = requester
-        self.txn = txn
-
-    def __repr__(self) -> str:
-        return (f"ProtoPayload(block={self.block!r}, "
-                f"requester={self.requester!r})")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ProtoPayload):
-            return NotImplemented
-        return (self.block == other.block
-                and self.requester == other.requester)
 
 
 def message_size(kind: str, header_flits: int, data_flits: int) -> int:

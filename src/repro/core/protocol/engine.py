@@ -117,7 +117,7 @@ class HomeProtocolEngine:
             self.backend.unknown_event(kind)
             return
         create, strict, by_state, when_missing = plan
-        block = message.payload.block
+        block = message.block
         src = message.src
         backend = self.backend
         if create:
@@ -146,7 +146,7 @@ class HomeProtocolEngine:
                         None if before is None else before.value,
                         None if entry is None else entry.state.value,
                         row.action, row.next_state, busy,
-                        message.payload.txn))
+                        message.txn))
                     return
         else:
             for guard, action, row in rows:

@@ -46,10 +46,11 @@ from repro.core import messages as msg
 from repro.core.directory import DirectoryEntry
 from repro.core.protocol.table import allowed_after
 from repro.core.software.extdir import SoftwareDirEntry
-from repro.obs.events import MessageSent, TransitionApplied
+from repro.obs.events import TransitionApplied
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.machine.machine import Machine
+    from repro.network.fabric import Message
 
 __all__ = ["InvariantChecker", "InvariantViolation"]
 
@@ -262,7 +263,7 @@ class InvariantChecker:
     # Message-level checks
     # ------------------------------------------------------------------
 
-    def _on_message(self, ev: MessageSent) -> None:
+    def _on_message(self, ev: "Message") -> None:
         kind = ev.kind
         if kind == msg.INV:
             self.messages_checked += 1
@@ -294,7 +295,7 @@ class InvariantChecker:
         flush_acks = getattr(backend, "_flush_acks", None)
         return bool(flush_acks) and flush_acks.get(block, 0) > 0
 
-    def _check_exclusive_grant(self, ev: MessageSent) -> None:
+    def _check_exclusive_grant(self, ev: "Message") -> None:
         """At a WDATA send, no third node may still hold the block."""
         block = ev.block
         if block is None:
@@ -317,7 +318,7 @@ class InvariantChecker:
                 f"{node.id} still holds {state.value}",
             )
 
-    def _check_shared_grant(self, ev: MessageSent) -> None:
+    def _check_shared_grant(self, ev: "Message") -> None:
         """At an RDATA send, no node may hold a writable copy."""
         block = ev.block
         if block is None:

@@ -32,7 +32,7 @@ administration costs.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict
+from typing import Dict, Tuple
 
 from repro.common.errors import ConfigurationError
 
@@ -72,9 +72,21 @@ class HandlerCost:
     per_message_spacing: int = 0
 
 
+#: one HandlerCost per distinct breakdown: every handler sample keeps
+#: its cost's breakdown, and the arguments a breakdown depends on take
+#: few values (pointer counts are bounded by the machine size), so
+#: samples share these in place of a dict each.  Nothing mutates them.
+_COSTS: Dict[Tuple[Tuple[Tuple[str, int], ...], int], HandlerCost] = {}
+
+
 def _cost(breakdown: Dict[str, int], spacing: int = 0) -> HandlerCost:
-    clean = {k: v for k, v in breakdown.items() if v}
-    return HandlerCost(sum(clean.values()), clean, spacing)
+    key = (tuple(breakdown.items()), spacing)
+    cost = _COSTS.get(key)
+    if cost is None:
+        clean = {k: v for k, v in breakdown.items() if v}
+        cost = _COSTS[key] = HandlerCost(sum(clean.values()), clean,
+                                         spacing)
+    return cost
 
 
 class CostModel:

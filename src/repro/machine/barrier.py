@@ -87,7 +87,7 @@ class BarrierManager:
         self.machine.nodes[node].processor.barrier_release()
 
     def handle(self, message: "Message") -> None:
-        epoch = message.payload.block  # epoch rides in the block field
+        epoch = message.block  # epoch rides in the block field
         if message.kind == msg.BAR_UP:
             self._up(message.dst, epoch)
         elif message.kind == msg.BAR_DOWN:

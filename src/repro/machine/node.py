@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.common.errors import ProtocolStateError
 from repro.core import messages as msg
 from repro.core.cache_ctrl import CacheController
-from repro.core.messages import ProtoPayload, message_size
+from repro.core.messages import message_size
 from repro.core.protocol import HomeProtocolEngine, build_home_engine
 from repro.machine.sync import LOCK_KINDS, REDUCE_KINDS
 from repro.core.software.interface import CoherenceInterface
@@ -101,10 +101,9 @@ class Node:
         if txn is None and kind in _COHERENCE:
             txn = self.current_txn
         # Positional arguments: keyword binding is a measurable share
-        # of constructing two objects per protocol message.
+        # of constructing the message.
         self.machine.fabric.send(
-            Message(self.id, dst, kind, size,
-                    ProtoPayload(block, requester, txn)),
+            Message(self.id, dst, kind, size, block, requester, txn),
             extra_delay,
         )
 
@@ -112,11 +111,11 @@ class Node:
         """Fabric delivery callback: route to the right component."""
         kind = message.kind
         if kind in _CACHE_SIDE:
-            self.current_txn = message.payload.txn
+            self.current_txn = message.txn
             self.cache_ctrl.handle(message)
             self.current_txn = None
         elif kind in _HOME_SIDE:
-            self.current_txn = message.payload.txn
+            self.current_txn = message.txn
             self.home.handle(message)
             self.current_txn = None
         elif kind in _BARRIER:

@@ -111,7 +111,7 @@ class LockManager:
     # ------------------------------------------------------------------
 
     def handle(self, message: "Message") -> None:
-        lock_id = message.payload.block
+        lock_id = message.block
         if message.kind == LOCK_REQ:
             self._on_request(lock_id, message.src)
         elif message.kind == LOCK_REL:
@@ -221,12 +221,11 @@ class ReductionState:
 
 @dataclasses.dataclass
 class _ReducePayload:
-    """Payload of a reduction message (epoch + partial value)."""
+    """Payload of a reduction message (epoch + partial value); the
+    reduction id rides in the message's ``block`` field."""
 
-    block: int  # the reduction id rides in the block field
     epoch: int = 0
     value: object = None
-    requester: Optional[int] = None
 
 
 class ReductionManager:
@@ -322,14 +321,14 @@ class ReductionManager:
         self.machine.fabric.send(
             Message(src=src, dst=dst, kind=kind,
                     size_flits=self.machine.params.header_flits + 2,
-                    payload=_ReducePayload(block=state.reduce_id,
-                                           epoch=epoch, value=value)),
+                    block=state.reduce_id,
+                    payload=_ReducePayload(epoch=epoch, value=value)),
             extra_delay=REDUCE_NODE_DELAY,
         )
 
     def handle(self, message) -> None:
         payload = message.payload
-        state = self._state(payload.block)
+        state = self._state(message.block)
         if message.kind == REDUCE_UP:
             self._up(state, message.dst, payload.epoch, payload.value)
         elif message.kind == REDUCE_DOWN:

@@ -96,4 +96,5 @@ class DetailedFabric(Fabric):
         self.sim.at(deliver, partial(self._receivers[msg.dst], msg),
                     owner=msg.dst)
         if self.obs is not None:
-            self._notify(msg)
+            for fn in self.obs.on_message:
+                fn(msg)

@@ -20,10 +20,9 @@ serialise through it.
 from __future__ import annotations
 
 from functools import partial
-from typing import TYPE_CHECKING, Any, Callable, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple
 
 from repro.network.topology import Mesh
-from repro.obs.events import MessageSent
 from repro.sim.engine import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -31,36 +30,60 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class Message:
-    """A message in flight.  ``payload`` is protocol-defined.
+    """A message in flight, and the event the ``message`` channel of
+    :class:`~repro.obs.events.EventBus` publishes once its delivery
+    time is known.
+
+    ``block`` names the coherence block (the barrier epoch, lock or
+    reduction id for synchronisation messages); ``requester`` is the
+    node the home acts for; ``txn`` is observability metadata only, the
+    id of the data miss the message serves, which the protocol never
+    branches on.  ``payload`` carries anything else a sender needs (the
+    reduction tree's epoch and partial value).
 
     Hot-path object: one is allocated per protocol message, which for a
     software-heavy run means millions per simulation.  ``__slots__``
     (hand-written rather than ``dataclass(slots=True)``, which needs
-    Python 3.10) drops the per-instance ``__dict__`` — smaller, faster
-    to allocate, faster attribute access in :meth:`Fabric.send`.
+    Python 3.10) drops the per-instance ``__dict__``.  The fabric
+    writes ``sent_at`` and ``delivered_at`` before it publishes the
+    message, and nothing writes it afterwards, so subscribers may keep
+    it.  Equality is field-wise, as for the other probe events.
     """
 
-    __slots__ = ("src", "dst", "kind", "size_flits", "payload",
-                 "sent_at", "delivered_at")
+    __slots__ = ("src", "dst", "kind", "size_flits", "block", "requester",
+                 "txn", "payload", "sent_at", "delivered_at")
 
     def __init__(self, src: int, dst: int, kind: str, size_flits: int,
-                 payload: Any = None, sent_at: int = 0,
-                 delivered_at: int = 0) -> None:
+                 block: Optional[int] = None,
+                 requester: Optional[int] = None,
+                 txn: Optional[int] = None, payload: Any = None,
+                 sent_at: int = 0, delivered_at: int = 0) -> None:
         self.src = src
         self.dst = dst
         self.kind = kind
         self.size_flits = size_flits
+        self.block = block
+        self.requester = requester
+        self.txn = txn
         self.payload = payload
         self.sent_at = sent_at
         self.delivered_at = delivered_at
 
+    def _fields(self) -> Tuple[Any, ...]:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Message):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    #: mutable until published, so unhashable
+    __hash__ = None  # type: ignore[assignment]
+
     def __repr__(self) -> str:
-        return (
-            f"Message(src={self.src!r}, dst={self.dst!r}, "
-            f"kind={self.kind!r}, size_flits={self.size_flits!r}, "
-            f"payload={self.payload!r}, sent_at={self.sent_at!r}, "
-            f"delivered_at={self.delivered_at!r})"
-        )
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"Message({fields})"
 
 
 #: Handler invoked at the destination when a message is delivered.
@@ -154,7 +177,8 @@ class Fabric:
             # receiver directly from C, with no extra Python frame.
             self.sim.at(deliver, partial(self._receivers[src], msg))
             if self.obs is not None:
-                self._notify(msg)
+                for fn in self.obs.on_message:
+                    fn(msg)
             return
 
         tx_free = self._tx_free
@@ -189,19 +213,11 @@ class Fabric:
         msg.delivered_at = deliver
         self._deliveries += 1
         sim.at(deliver, partial(self._receivers[dst], msg))
-        if self.obs is not None:
-            self._notify(msg)
-
-    def _notify(self, msg: Message) -> None:
-        """Emit a message probe event (repro.obs)."""
         obs = self.obs
-        if obs is None or not obs.on_message:
-            return
-        payload = msg.payload
-        obs.message(MessageSent(
-            msg.src, msg.dst, msg.kind, msg.size_flits, msg.sent_at,
-            msg.delivered_at, getattr(payload, "block", None),
-            getattr(payload, "txn", None)))
+        if obs is not None:
+            # the message itself is the event: it is complete now
+            for fn in obs.on_message:
+                fn(msg)
 
     # ------------------------------------------------------------------
     # Introspection (read-only; used by the interval sampler)

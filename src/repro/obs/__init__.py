@@ -37,7 +37,6 @@ changes no simulated cycle count.
 from repro.obs.events import (
     EventBus,
     HandlerSpan,
-    MessageSent,
     StallSpan,
     TransitionApplied,
     TrapPosted,
@@ -79,7 +78,6 @@ from repro.obs.fleet import (
 __all__ = [
     "EventBus",
     "HandlerSpan",
-    "MessageSent",
     "StallSpan",
     "TransitionApplied",
     "TrapPosted",

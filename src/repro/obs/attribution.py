@@ -257,13 +257,15 @@ class AttributionReport:
     Built incrementally: :meth:`attach` subscribes :meth:`add` to a
     :class:`~repro.obs.spans.SpanCollector`, which splits each stall
     into buckets the moment it completes and then drops its trace.
+    Each stall updates one ``{cycles: stalls}`` count per bucket it
+    splits into, kept per stall kind; :attr:`totals`,
+    :attr:`by_stall_kind` and :attr:`hists` are derived from those
+    counts when read.
     """
 
     def __init__(self) -> None:
-        self.totals: Dict[str, int] = {}
-        self.by_stall_kind: Dict[str, Dict[str, int]] = {}
-        #: per-stall bucket cycles (percentile queries per bucket)
-        self.hists = HistogramSet()
+        #: stall kind -> bucket -> {cycles: stalls with that many}
+        self._counts: Dict[str, Dict[str, Dict[int, int]]] = {}
         self.total_cycles = 0
         self.n_stalls = 0
         self.n_transactions = 0
@@ -297,13 +299,43 @@ class AttributionReport:
         if trace is not None:
             self.n_transactions += 1
         self.total_cycles += stall.end - stall.start
-        per_kind = self.by_stall_kind.setdefault(stall.kind, {})
-        totals = self.totals
-        record = self.hists.record
+        per_kind = self._counts.get(stall.kind)
+        if per_kind is None:
+            per_kind = self._counts[stall.kind] = {}
         for bucket, cycles in parts.items():
-            totals[bucket] = totals.get(bucket, 0) + cycles
-            per_kind[bucket] = per_kind.get(bucket, 0) + cycles
-            record(bucket, cycles)
+            counts = per_kind.get(bucket)
+            if counts is None:
+                per_kind[bucket] = {cycles: 1}
+            else:
+                counts[cycles] = counts.get(cycles, 0) + 1
+
+    @property
+    def by_stall_kind(self) -> Dict[str, Dict[str, int]]:
+        """Stall kind -> bucket -> cycles."""
+        return {
+            kind: {bucket: sum(c * n for c, n in counts.items())
+                   for bucket, counts in per_kind.items()}
+            for kind, per_kind in self._counts.items()
+        }
+
+    @property
+    def totals(self) -> Dict[str, int]:
+        """Bucket -> cycles, over every stall kind."""
+        totals: Dict[str, int] = {}
+        for parts in self.by_stall_kind.values():
+            for bucket, cycles in parts.items():
+                totals[bucket] = totals.get(bucket, 0) + cycles
+        return totals
+
+    @property
+    def hists(self) -> HistogramSet:
+        """Per bucket, the histogram of each stall's cycles in it."""
+        hists = HistogramSet()
+        for per_kind in self._counts.values():
+            for bucket, counts in per_kind.items():
+                for cycles, stalls in counts.items():
+                    hists.record(bucket, cycles, stalls)
+        return hists
 
     @property
     def attributed_cycles(self) -> int:
@@ -325,18 +357,15 @@ def attribution_dict(report: AttributionReport,
     no paths, no floats beyond fixed-precision rounding.
     """
     total = report.total_cycles
-    buckets = {b: report.totals.get(b, 0) for b in BUCKETS}
+    totals = report.totals
+    buckets = {b: totals.get(b, 0) for b in BUCKETS}
     shares = {
         b: (round(v / total, 6) if total else 0.0)
         for b, v in buckets.items()
     }
-    percentiles = {}
-    for key in report.hists.keys():
-        percentiles[key] = report.hists[key].summary()
-    by_kind = {}
-    for kind in sorted(report.by_stall_kind):
-        parts = report.by_stall_kind[kind]
-        by_kind[kind] = {b: parts[b] for b in sorted(parts)}
+    percentiles = report.hists.summary()
+    by_kind = {kind: {b: parts[b] for b in sorted(parts)}
+               for kind, parts in sorted(report.by_stall_kind.items())}
     return {
         "schema": ATTRIBUTION_SCHEMA,
         "config": dict(config) if config else {},

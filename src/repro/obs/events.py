@@ -14,30 +14,35 @@ Design constraints, in order:
    loop follows the same rule: ``Machine.run`` installs the
    ``advance`` probe only when that channel has a subscriber, so an
    idle bus leaves ``Simulator.run`` on its tight loop.
-3. **Cheap events.**  Each event type is a :class:`typing.NamedTuple`:
-   immutable, compared by value, and built by the probe sites with
-   positional arguments (a frozen dataclass routes every field through
-   ``object.__setattr__`` and costs several times as much to build).
+3. **Cheap events.**  Each event type defined here is a
+   :class:`typing.NamedTuple`: immutable, compared by value, and built
+   by the probe sites with positional arguments (a frozen dataclass
+   routes every field through ``object.__setattr__`` and costs several
+   times as much to build).  The ``message`` channel builds nothing:
+   it publishes the message the fabric already carries.
 
 Probe points
 ------------
 
-========== ===================================== ==========================
+========== ===================================== =====================================
 channel    fired from                            event type
-========== ===================================== ==========================
+========== ===================================== =====================================
 advance    ``sim/engine.py`` run loop            ``int`` (new cycle time)
 user       ``machine/processor.py`` `_consume`   :class:`UserSpan`
 stall      processor stall completion            :class:`StallSpan`
 handler    ``Processor.post_trap``               :class:`HandlerSpan`
 trap       ``core/software/interface.py``        :class:`TrapPosted`
-message    ``network/fabric.py`` ``_receive``    :class:`MessageSent`
+message    ``network/fabric.py`` ``_receive``    :class:`~repro.network.fabric.Message`
 transition ``core/protocol/engine.py`` dispatch  :class:`TransitionApplied`
-========== ===================================== ==========================
+========== ===================================== =====================================
 
 ``message`` fires when a message reaches its destination's receive
 queue (``Fabric._receive``), once its delivery time is known; a
 loopback message, whose delivery time is fixed at once, fires in
-``send``, and so does every message of the detailed network.
+``send``, and so does every message of the detailed network.  Its
+event is the fabric's own :class:`~repro.network.fabric.Message`, not
+a copy: the fabric has written every field by then and writes none
+afterwards, so a subscriber may keep it but must not change it.
 
 Attribution (:mod:`repro.obs.attribution`) listens on ``stall``,
 ``handler``, ``trap`` and ``message`` only.  It leaves ``transition``
@@ -50,7 +55,10 @@ subscribes it.
 
 from __future__ import annotations
 
-from typing import Callable, List, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, List, NamedTuple, Optional
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.network.fabric import Message
 
 
 class UserSpan(NamedTuple):
@@ -113,19 +121,6 @@ class TrapPosted(NamedTuple):
     txn: Optional[int] = None
 
 
-class MessageSent(NamedTuple):
-    """One fabric message with its computed delivery time."""
-
-    src: int
-    dst: int
-    kind: str
-    size_flits: int
-    sent_at: int
-    delivered_at: int
-    block: Optional[int] = None
-    txn: Optional[int] = None
-
-
 class TransitionApplied(NamedTuple):
     """One fired rule of the table-driven home protocol engine.
 
@@ -176,7 +171,7 @@ class EventBus:
         self.on_stall: List[Callable[[StallSpan], None]] = []
         self.on_handler: List[Callable[[HandlerSpan], None]] = []
         self.on_trap: List[Callable[[TrapPosted], None]] = []
-        self.on_message: List[Callable[[MessageSent], None]] = []
+        self.on_message: List[Callable[["Message"], None]] = []
         self.on_transition: List[Callable[[TransitionApplied], None]] = []
 
     # ------------------------------------------------------------------
@@ -230,7 +225,7 @@ class EventBus:
         for fn in self.on_trap:
             fn(ev)
 
-    def message(self, ev: MessageSent) -> None:
+    def message(self, ev: "Message") -> None:
         for fn in self.on_message:
             fn(ev)
 

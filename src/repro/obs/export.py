@@ -20,13 +20,13 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.obs.events import (
     HandlerSpan,
-    MessageSent,
     StallSpan,
     UserSpan,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.machine.machine import Machine
+    from repro.network.fabric import Message
     from repro.obs.hist import LatencyRecorder
     from repro.obs.timeseries import IntervalSampler
     from repro.sim.stats import RunStats
@@ -56,7 +56,7 @@ class TraceCollector:
         self.user_spans: List[UserSpan] = []
         self.stall_spans: List[StallSpan] = []
         self.handler_spans: List[HandlerSpan] = []
-        self.messages: List[MessageSent] = []
+        self.messages: List["Message"] = []
 
     @classmethod
     def attach(cls, machine: "Machine") -> "TraceCollector":

@@ -106,12 +106,12 @@ class HistogramSet:
     def __init__(self) -> None:
         self._hists: Dict[str, Histogram] = {}
 
-    def record(self, key: str, value: int) -> None:
+    def record(self, key: str, value: int, weight: int = 1) -> None:
         hist = self._hists.get(key)
         if hist is None:
             hist = Histogram()
             self._hists[key] = hist
-        hist.add(value)
+        hist.add(value, weight)
 
     def __getitem__(self, key: str) -> Histogram:
         return self._hists[key]

@@ -4,7 +4,7 @@ Flat probe events (:mod:`repro.obs.events`) answer *what happened*;
 this module answers *why a particular access was slow*.  Every data
 miss opens a coherence transaction (``Machine.next_txn``, assigned in
 ``Processor._begin_miss``), and the id rides every message the miss
-causes (via ``ProtoPayload.txn``), every directory transition it fires,
+causes (``Message.txn``), every directory transition it fires,
 every trap it posts, and every handler occupancy it schedules.  A
 :class:`SpanCollector` groups those events back into one
 :class:`TransactionTrace` per miss — the causal chain
@@ -29,7 +29,6 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.obs.events import (
     HandlerSpan,
-    MessageSent,
     StallSpan,
     TransitionApplied,
     TrapPosted,
@@ -37,6 +36,7 @@ from repro.obs.events import (
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.machine.machine import Machine
+    from repro.network.fabric import Message
 
 __all__ = ["TransactionTrace", "SpanCollector", "format_trace"]
 
@@ -58,7 +58,7 @@ class TransactionTrace:
     def __init__(self, txn: int) -> None:
         self.txn = txn
         self.stall: Optional[StallSpan] = None
-        self.messages: List[MessageSent] = []
+        self.messages: List["Message"] = []
         self.handlers: List[HandlerSpan] = []
         self.traps: List[TrapPosted] = []
         self.transitions: List[TransitionApplied] = []
@@ -211,7 +211,7 @@ class SpanCollector:
             if trace is not None:
                 trace.traps.append(ev)
 
-    def _on_message(self, ev: MessageSent) -> None:
+    def _on_message(self, ev: "Message") -> None:
         if ev.txn is not None:
             trace = (self._open.get(ev.txn)
                      or self._open_trace(ev.txn, ev.sent_at))

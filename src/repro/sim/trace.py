@@ -83,7 +83,7 @@ class ProtocolTracer:
                     kind=m.kind,
                     src=m.src,
                     dst=m.dst,
-                    block=m.payload.block,
+                    block=m.block,
                 )
                 for m in self._messages
             ]
@@ -113,7 +113,7 @@ class ProtocolTracer:
         def traced_send(message, extra_delay: int = 0):
             result = inner_send(message, extra_delay)
             if tracer._active and message.kind in _TRACED:
-                block = message.payload.block
+                block = message.block
                 if tracer._filter is None or block in tracer._filter:
                     tracer._messages.append(message)
                     tracer._records = None

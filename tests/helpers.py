@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import functools
-from typing import Dict, Iterator, List
+from typing import Dict, Iterator, List, Optional
 
 from repro.machine.machine import Machine
 from repro.machine.params import MachineParams
+from repro.network.fabric import Message
 from repro.workloads.base import Op, Workload
 
 
@@ -48,6 +49,16 @@ def tiny_machine(n_nodes: int = 4, protocol: str = "DirnH2SNB",
     """A small machine with fast defaults for unit tests."""
     params = MachineParams(n_nodes=n_nodes, **param_overrides)
     return Machine(params, protocol=protocol)
+
+
+def sent_message(src: int, dst: int, kind: str, size_flits: int,
+                 sent_at: int, delivered_at: int,
+                 block: Optional[int] = None,
+                 txn: Optional[int] = None) -> Message:
+    """A message as the ``message`` channel publishes it: with its send
+    and delivery times written."""
+    return Message(src, dst, kind, size_flits, block, txn=txn,
+                   sent_at=sent_at, delivered_at=delivered_at)
 
 
 def run_script(machine: Machine, scripts: Dict[int, List[Op]],
@@ -108,7 +119,7 @@ def walk_table(home, message) -> None:
     if policy is None:
         backend.unknown_event(kind)
         return
-    block = message.payload.block
+    block = message.block
     src = message.src
     if policy.lookup == "create":
         entry = backend.entry_for(block)

@@ -35,18 +35,14 @@ from repro.obs.attribution import (
     _STALL_KIND_BUCKET,
     _TRAP_WAIT_PRIO,
 )
-from repro.obs.events import (
-    HandlerSpan,
-    MessageSent,
-    StallSpan,
-    TrapPosted,
-)
+from repro.obs.events import HandlerSpan, StallSpan, TrapPosted
+from repro.obs.hist import HistogramSet
 from repro.obs.spans import SpanCollector, TransactionTrace
 from repro.workloads.aq import AdaptiveQuadrature
 from repro.workloads.tsp import TSP
 from repro.workloads.worker import WorkerBenchmark
 
-from tests.helpers import ScriptWorkload
+from tests.helpers import ScriptWorkload, sent_message
 
 DIGESTS_PATH = os.path.join(os.path.dirname(__file__), "data",
                             "attribution_digests.json")
@@ -81,8 +77,8 @@ class TestAttributeStall:
         stall = StallSpan(node=0, start=0, end=100, kind="read",
                           block=7, txn=1)
         trace = synthetic_trace(stall, messages=[
-            MessageSent(0, 1, "rreq", 2, 5, 15, block=7, txn=1),
-            MessageSent(1, 0, "rdata", 18, 80, 100, block=7, txn=1),
+            sent_message(0, 1, "rreq", 2, 5, 15, block=7, txn=1),
+            sent_message(1, 0, "rdata", 18, 80, 100, block=7, txn=1),
         ])
         parts = attribute_stall(stall, trace)
         assert parts == {
@@ -96,10 +92,10 @@ class TestAttributeStall:
         stall = StallSpan(node=0, start=0, end=50, kind="read",
                           block=7, txn=1)
         trace = synthetic_trace(stall, messages=[
-            MessageSent(0, 1, "rreq", 2, 0, 10, block=7, txn=1),
-            MessageSent(1, 0, "busy", 2, 10, 20, block=7, txn=1),
-            MessageSent(0, 1, "rreq", 2, 30, 40, block=7, txn=1),
-            MessageSent(1, 0, "rdata", 18, 40, 50, block=7, txn=1),
+            sent_message(0, 1, "rreq", 2, 0, 10, block=7, txn=1),
+            sent_message(1, 0, "busy", 2, 10, 20, block=7, txn=1),
+            sent_message(0, 1, "rreq", 2, 30, 40, block=7, txn=1),
+            sent_message(1, 0, "rdata", 18, 40, 50, block=7, txn=1),
         ])
         parts = attribute_stall(stall, trace)
         # busy flight + the gap after its delivery are both retry time
@@ -112,8 +108,8 @@ class TestAttributeStall:
         trace = synthetic_trace(
             stall,
             messages=[
-                MessageSent(0, 1, "rreq", 2, 0, 10, block=7, txn=1),
-                MessageSent(1, 0, "rdata", 18, 60, 100, block=7, txn=1),
+                sent_message(0, 1, "rreq", 2, 0, 10, block=7, txn=1),
+                sent_message(1, 0, "rdata", 18, 60, 100, block=7, txn=1),
             ],
             handlers=[HandlerSpan(1, 30, 60, "read", "flexible", 2, 30,
                                   txn=1)],
@@ -131,10 +127,10 @@ class TestAttributeStall:
         stall = StallSpan(node=0, start=0, end=100, kind="write",
                           block=7, txn=1)
         trace = synthetic_trace(stall, messages=[
-            MessageSent(0, 1, "wreq", 2, 0, 10, block=7, txn=1),
-            MessageSent(1, 2, "inv", 2, 10, 30, block=7, txn=1),
-            MessageSent(2, 1, "ack", 2, 20, 40, block=7, txn=1),
-            MessageSent(1, 0, "wdata", 18, 40, 100, block=7, txn=1),
+            sent_message(0, 1, "wreq", 2, 0, 10, block=7, txn=1),
+            sent_message(1, 2, "inv", 2, 10, 30, block=7, txn=1),
+            sent_message(2, 1, "ack", 2, 20, 40, block=7, txn=1),
+            sent_message(1, 0, "wdata", 18, 40, 100, block=7, txn=1),
         ])
         parts = attribute_stall(stall, trace)
         # the inv/ack overlap [20,30) counts as fan-out, not gathering
@@ -261,7 +257,7 @@ def _messages(draw):
             ["busy", "inv", "ack", "fetch_data", "rreq", "rdata"]),
             max_size=8)):
         lo, hi = draw(_span())
-        out.append(MessageSent(0, 1, kind, 2, lo, hi, block=7, txn=1))
+        out.append(sent_message(0, 1, kind, 2, lo, hi, block=7, txn=1))
     return out
 
 
@@ -567,3 +563,49 @@ class TestSyncMessagesUntagged:
         kinds = {kind for kind, _txn in seen}
         assert "lock_req" in kinds and "reduce_up" in kinds
         assert [m for m in seen if m[1] is not None] == []
+
+
+# ----------------------------------------------------------------------
+# Derived report views against the per-stall bookkeeping they replace
+# ----------------------------------------------------------------------
+
+
+class ReferenceReport:
+    """The bookkeeping :class:`AttributionReport` did before it kept a
+    ``{cycles: stalls}`` count per stall kind and bucket: three updates
+    per bucket per stall.  The oracle for the derived views."""
+
+    def __init__(self) -> None:
+        self.totals = {}
+        self.by_stall_kind = {}
+        self.hists = HistogramSet()
+
+    def add(self, stall, trace):
+        parts = attribute_stall(stall, trace)
+        per_kind = self.by_stall_kind.setdefault(stall.kind, {})
+        for bucket, cycles in parts.items():
+            self.totals[bucket] = self.totals.get(bucket, 0) + cycles
+            per_kind[bucket] = per_kind.get(bucket, 0) + cycles
+            self.hists.record(bucket, cycles)
+
+
+class TestReportMatchesReference:
+    @pytest.mark.parametrize("name, protocol", [
+        ("worker6x2-n16-DirnH2SNB", None),
+        ("aq-DirnH5SNB", None),
+        ("tsp-n16-DirnH5SNB", None),
+        ("worker6x2-n16-DirnH2SNB", "DirnH1SNB,ACK"),
+    ], ids=["worker", "aq", "tsp16", "worker-DirnH1SNB,ACK"])
+    def test_same_totals_split_and_percentiles(self, name, protocol):
+        config = next(c for c in _DIGEST_CONFIGS if c["name"] == name)
+        machine = Machine(MachineParams(n_nodes=config["n_nodes"]),
+                          protocol=protocol or config["protocol"])
+        report = AttributionReport.attach(machine)
+        reference = ReferenceReport()
+        report.collector.on_complete.append(reference.add)
+        machine.run(_WORKLOADS[config["workload"]](**config["kwargs"]))
+        assert report.n_stalls > 0
+        assert report.totals == reference.totals
+        assert report.by_stall_kind == reference.by_stall_kind
+        assert report.hists.keys() == reference.hists.keys()
+        assert report.hists.summary() == reference.hists.summary()

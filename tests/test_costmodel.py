@@ -171,3 +171,15 @@ class TestValidation:
     def test_sw_request_read_includes_data_send(self):
         cost = CostModel(FLEXIBLE).sw_request("read", 1)
         assert "data transmit" in cost.breakdown
+
+
+class TestSharedCosts:
+    """Every handler sample keeps its cost's breakdown, so equal
+    arguments give the one shared cost rather than a dict per call."""
+
+    def test_equal_arguments_share_one_cost(self):
+        a, b = CostModel(FLEXIBLE), CostModel(FLEXIBLE)
+        assert a.read_overflow(5) is b.read_overflow(5)
+        assert a.ack() is a.ack()
+        assert a.write_extended(8) is not a.write_extended(9)
+        assert a.ack() is not CostModel(OPTIMIZED).ack()

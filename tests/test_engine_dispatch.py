@@ -24,7 +24,6 @@ import pytest
 
 from repro.common.errors import ProtocolStateError
 from repro.common.types import DirState
-from repro.core.messages import ProtoPayload
 from repro.machine.machine import Machine
 from repro.machine.params import MachineParams
 from repro.network.fabric import Message
@@ -54,8 +53,8 @@ def _home(backend: str, dispatch: str):
 
 
 def _msg(kind: str, src: int, block: int) -> Message:
-    return Message(src=src, dst=0, kind=kind, size_flits=2,
-                   payload=ProtoPayload(block=block, requester=src))
+    return Message(src=src, dst=0, kind=kind, size_flits=2, block=block,
+                   requester=src)
 
 
 @pytest.mark.parametrize("dispatch", DISPATCH_PARAMS)

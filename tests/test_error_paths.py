@@ -5,7 +5,6 @@ import pytest
 
 from repro.common.errors import ProtocolStateError, WorkloadError
 from repro.common.types import AccessType, CacheState
-from repro.core.messages import ProtoPayload
 from repro.machine.machine import Machine
 from repro.machine.params import MachineParams
 from repro.network.fabric import Message
@@ -17,8 +16,7 @@ def machine(n=4, protocol="DirnH2SNB"):
 
 
 def fake(kind, src, dst, block):
-    return Message(src=src, dst=dst, kind=kind, size_flits=3,
-                   payload=ProtoPayload(block=block))
+    return Message(src=src, dst=dst, kind=kind, size_flits=3, block=block)
 
 
 class TestHomeErrorPaths:

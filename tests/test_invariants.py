@@ -17,10 +17,10 @@ from repro.core.protocol.backends import (
 from repro.common.types import DirState
 from repro.machine.machine import Machine
 from repro.machine.params import MachineParams
-from repro.obs.events import MessageSent, TransitionApplied
+from repro.obs.events import TransitionApplied
 from repro.workloads.worker import WorkerBenchmark
 
-from tests.helpers import ScriptWorkload
+from tests.helpers import ScriptWorkload, sent_message
 
 
 def machine(protocol="DirnH2SNB", n=16):
@@ -159,8 +159,8 @@ class TestTransitionChecks:
 
 class TestMessageChecks:
     def _msg(self, kind, block=7, src=0, dst=2):
-        return MessageSent(src=src, dst=dst, kind=kind, size_flits=2,
-                           sent_at=50, delivered_at=60, block=block)
+        return sent_message(src=src, dst=dst, kind=kind, size_flits=2,
+                            sent_at=50, delivered_at=60, block=block)
 
     def test_ack_without_invalidation_flagged(self):
         m = machine(n=4)

@@ -5,6 +5,7 @@ latency histograms, both exporters, and the headline invariant:
 attaching observers changes no simulated cycle count.
 """
 
+import copy
 import dataclasses
 import json
 
@@ -493,3 +494,58 @@ class TestDetailedFabricProbe:
         kinds = {m.kind for m in messages}
         assert "rreq" in kinds and "rdata" in kinds
         assert all(m.delivered_at >= m.sent_at for m in messages)
+
+
+def _sync_and_coherence(machine):
+    """Reads, writes, a lock, a reduction and a barrier on every node."""
+    block = machine.heap.alloc_block(0)
+    lock = machine.create_lock(home=1)
+    rid = machine.create_reduction(lambda a, b: a + b)
+    return ScriptWorkload({
+        node: [("read", block), ("lock", lock), ("write", block),
+               ("unlock", lock), ("reduce", rid, node), ("barrier",),
+               ("read", block)]
+        for node in range(machine.params.n_nodes)
+    })
+
+
+def _software_worker(machine):
+    return WorkerBenchmark(worker_set_size=4, iterations=1)
+
+
+class TestMessageChannel:
+    """The ``message`` channel publishes the fabric's own message
+    object, so what a subscriber keeps is the live simulator object:
+    each message must be published once, complete, and never written
+    afterwards."""
+
+    @pytest.mark.parametrize("network_model", ["queues", "links"])
+    @pytest.mark.parametrize("workload, kinds", [
+        (_sync_and_coherence, {"rreq", "wreq", "inv", "lock_req",
+                               "reduce_up", "bar_up"}),
+        (_software_worker, {"rreq", "wdata", "ack", "busy", "bar_down"}),
+    ], ids=["sync", "worker"])
+    def test_published_once_and_never_written_after(self, network_model,
+                                                     workload, kinds):
+        machine = Machine(MachineParams(n_nodes=16),
+                          protocol="DirnH1SNB,ACK",
+                          network_model=network_model)
+        sent = []
+        fabric_send = machine.fabric.send
+
+        def send(message, extra_delay=0):
+            sent.append(message)
+            fabric_send(message, extra_delay)
+
+        machine.fabric.send = send
+        published = []
+        machine.observe().on_message.append(
+            lambda m: published.append((m, copy.deepcopy(m))))
+        machine.run(workload(machine))
+        assert kinds <= {m.kind for m in sent}
+        assert len({id(m) for m in sent}) == len(sent)
+        assert sorted(id(m) for m, _snap in published) == \
+            sorted(id(m) for m in sent)
+        for message, snapshot in published:
+            assert message.sent_at <= message.delivered_at
+            assert message == snapshot

@@ -13,7 +13,6 @@ import pytest
 from repro.machine.machine import Machine
 from repro.machine.params import MachineParams
 from repro.obs import (
-    MessageSent,
     SpanCollector,
     StallSpan,
     TransitionApplied,
@@ -22,7 +21,12 @@ from repro.obs import (
 )
 from repro.workloads.worker import WorkerBenchmark
 
-from tests.helpers import CompletedTraces, ScriptWorkload, tiny_machine
+from tests.helpers import (
+    CompletedTraces,
+    ScriptWorkload,
+    sent_message,
+    tiny_machine,
+)
 
 
 def traced_run(n_nodes=9, protocol="DirnH2SNB", ops=None):
@@ -179,7 +183,7 @@ class TestStreaming:
         machine = tiny_machine(n_nodes=4)
         collector = CompletedTraces(SpanCollector.attach(machine))
         bus = machine.obs
-        bus.message(MessageSent(0, 1, "rreq", 2, 0, 10, 7, 1))
+        bus.message(sent_message(0, 1, "rreq", 2, 0, 10, 7, 1))
         bus.stall(StallSpan(0, 0, 50, "read", 7, 1))
         return bus, collector
 
@@ -201,7 +205,7 @@ class TestStreaming:
 
     def test_late_message_past_the_stall_is_dropped(self):
         bus, collector = self.fed_collector()
-        bus.message(MessageSent(1, 0, "bar_up", 2, 50, 60, None, 1))
+        bus.message(sent_message(1, 0, "bar_up", 2, 50, 60, None, 1))
         assert [m.kind for m in collector.trace(1).messages] == ["rreq"]
         assert not collector.collector._open
         assert len(collector) == 1
@@ -211,13 +215,13 @@ class TestStreaming:
         collector = CompletedTraces(SpanCollector.attach(machine))
         collector.collector.keep(1)
         bus = machine.obs
-        bus.message(MessageSent(0, 1, "rreq", 2, 0, 10, 7, 1))
+        bus.message(sent_message(0, 1, "rreq", 2, 0, 10, 7, 1))
         bus.stall(StallSpan(0, 0, 50, "read", 7, 1))
         bus.transition(TransitionApplied(1, 51, "evict_wb", 0, 7,
                                          "read_write", "absent",
                                          "writeback_release", None, False,
                                          1))
-        bus.message(MessageSent(1, 0, "ack", 2, 60, 70, 7, 1))
+        bus.message(sent_message(1, 0, "ack", 2, 60, 70, 7, 1))
         trace = collector.trace(1)
         assert [t.event for t in trace.transitions] == ["evict_wb"]
         assert [m.kind for m in trace.messages] == ["rreq", "ack"]
@@ -227,7 +231,7 @@ class TestStreaming:
     def test_late_message_overlapping_the_stall_raises(self):
         bus, _collector = self.fed_collector()
         with pytest.raises(ValueError, match="transaction 1 "):
-            bus.message(MessageSent(1, 0, "ack", 2, 40, 60, 7, 1))
+            bus.message(sent_message(1, 0, "ack", 2, 40, 60, 7, 1))
 
     def test_late_event_of_an_older_transaction(self):
         # Node 0's next id is 5 (ids stride by n_nodes = 4).  An event
