@@ -122,7 +122,10 @@ def canonical_dict(job: SimJob) -> Dict[str, Any]:
         "workload": f"{cls.__module__}:{cls.__qualname__}",
         "workload_kwargs": dict(job.workload_kwargs),
         "protocol": job.protocol,
-        "params": dataclasses.asdict(job.params),
+        # A shallow copy: every field is an int or a bool, so this equals
+        # dataclasses.asdict without its recursive deep copy.
+        "params": {field.name: getattr(job.params, field.name)
+                   for field in dataclasses.fields(job.params)},
         "software": job.software,
         "track_worker_sets": job.track_worker_sets,
     }

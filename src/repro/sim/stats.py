@@ -12,7 +12,7 @@ import dataclasses
 import hashlib
 import json
 from collections import Counter
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional, Tuple
 
 
 class HandlerSample:
@@ -66,7 +66,7 @@ class HandlerSample:
         )
 
     # ------------------------------------------------------------------
-    # JSON round-trip (repro.exec result cache)
+    # JSON form (RunStats.to_json_dict, the digest form)
     # ------------------------------------------------------------------
 
     def to_json_dict(self) -> Dict[str, object]:
@@ -78,17 +78,6 @@ class HandlerSample:
             "latency": self.latency,
             "breakdown": dict(self.breakdown),
         }
-
-    @classmethod
-    def from_json_dict(cls, doc: Mapping[str, object]) -> "HandlerSample":
-        return cls(
-            kind=doc["kind"],
-            implementation=doc["implementation"],
-            node=doc["node"],
-            pointers=doc["pointers"],
-            latency=doc["latency"],
-            breakdown=dict(doc["breakdown"]),
-        )
 
 
 @dataclasses.dataclass
@@ -161,25 +150,68 @@ class RunStats:
     attribution: Optional[Dict[str, object]] = None
 
     # ------------------------------------------------------------------
-    # JSON round-trip (repro.exec result cache)
+    # JSON form (digests) and compact record (repro.exec result cache)
     # ------------------------------------------------------------------
 
     def to_json_dict(self) -> Dict[str, object]:
-        """Plain-JSON representation; :meth:`from_json_dict` inverts it.
+        """Plain-JSON representation, one dict per handler sample.
 
-        The round trip is exact: every field collapses to ints, strings,
-        lists, and string-keyed dicts, so a cached result replayed from
-        disk is ``==`` to the freshly computed one and every derived
-        number (speedups, latency means, histograms) is bit-identical.
+        The canonical form that :meth:`digest` hashes and that tests and
+        pinned fixtures compare.  The result cache stores the compact
+        :meth:`to_record` instead, which carries the same values.
         """
+        return self._doc({"handler_samples": [
+            s.to_json_dict() for s in self.handler_samples]})
+
+    def to_record(self) -> Dict[str, object]:
+        """Compact plain-JSON record; :meth:`from_record` inverts it.
+
+        The :meth:`to_json_dict` fields, with ``handler_samples``
+        replaced by ``breakdowns`` — the distinct breakdown dicts, keyed
+        by value, in first-seen order — and ``samples``, one row
+        ``[kind, implementation, node, pointers, latency, index]`` per
+        sample, ``index`` naming its breakdown.  Samples vastly
+        outnumber breakdowns (the quick preset's 59 results hold 35,690
+        samples and 18 distinct breakdowns), so the record is about an
+        eighth of the JSON form's size.
+
+        Breakdowns are matched by value, not identity, so equal stats
+        always give equal records.  The round trip is exact: every field
+        collapses to ints, strings, lists and string-keyed dicts, so a
+        cached result replayed from disk is ``==`` to the freshly
+        computed one and every derived number (speedups, latency means,
+        histograms) is bit-identical.
+        """
+        breakdowns: List[Dict[str, int]] = []
+        by_value: Dict[Tuple[Tuple[str, int], ...], int] = {}
+        rows: List[list] = []
+        # Consecutive samples mostly share one breakdown dict (93% of the
+        # quick preset's), so a sample whose breakdown is the previous
+        # one's skips the lookup by value.
+        last: Optional[Dict[str, int]] = None
+        for s in self.handler_samples:
+            breakdown = s.breakdown
+            if breakdown is not last:
+                value = tuple(sorted(breakdown.items()))
+                index = by_value.get(value)
+                if index is None:
+                    index = by_value[value] = len(breakdowns)
+                    breakdowns.append(breakdown)
+                last = breakdown
+            rows.append([s.kind, s.implementation, s.node, s.pointers,
+                         s.latency, index])
+        return self._doc({"breakdowns": breakdowns, "samples": rows})
+
+    def _doc(self, samples: Dict[str, object]) -> Dict[str, object]:
+        """Every field but the handler samples, whose entries ``samples``
+        supplies, in the JSON form's key order."""
         histogram = self.worker_set_histogram
         doc: Dict[str, object] = {
             "run_cycles": self.run_cycles,
             "n_nodes": self.n_nodes,
             "sequential_cycles": self.sequential_cycles,
             "per_node": [ns.to_json_dict() for ns in self.per_node],
-            "handler_samples": [s.to_json_dict()
-                                for s in self.handler_samples],
+            **samples,
             # JSON objects have string keys; sizes are restored as ints.
             "worker_set_histogram": (
                 None if histogram is None
@@ -191,7 +223,10 @@ class RunStats:
         return doc
 
     @classmethod
-    def from_json_dict(cls, doc: Mapping[str, object]) -> "RunStats":
+    def from_record(cls, doc: Mapping[str, object]) -> "RunStats":
+        """Inverse of :meth:`to_record`.  Samples that name the same
+        breakdown share one dict, as they do in a fresh run."""
+        breakdowns = doc["breakdowns"]
         histogram = doc.get("worker_set_histogram")
         return cls(
             run_cycles=doc["run_cycles"],
@@ -199,8 +234,11 @@ class RunStats:
             sequential_cycles=doc["sequential_cycles"],
             per_node=[NodeStats.from_json_dict(ns)
                       for ns in doc["per_node"]],
-            handler_samples=[HandlerSample.from_json_dict(s)
-                             for s in doc["handler_samples"]],
+            handler_samples=[
+                HandlerSample(kind, implementation, node, pointers,
+                              latency, breakdowns[index])
+                for kind, implementation, node, pointers, latency, index
+                in doc["samples"]],
             worker_set_histogram=(
                 None if histogram is None
                 else {int(size): count for size, count in histogram.items()}

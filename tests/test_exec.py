@@ -1,12 +1,15 @@
 """Tests for the parallel experiment runner (repro.exec).
 
 Covers the determinism contract end to end: canonical job keys, the
-RunStats JSON round trip, the on-disk cache (hit/miss, corruption,
-version invalidation), worker-count resolution, dedup, and the
-headline property — identical driver output at ``--jobs 1``,
-``--jobs 2``, and from a warm cache.
+RunStats cache record round trip, the on-disk cache (hit/miss,
+corruption, version and schema invalidation), worker-count resolution,
+dedup, and the headline property — identical driver output at
+``--jobs 1``, ``--jobs 2``, and from a warm cache.
 """
 
+import dataclasses
+import hashlib
+import itertools
 import json
 import os
 
@@ -14,10 +17,14 @@ import pytest
 
 from repro.analysis.experiments import fig2_worker_ratios, run_one
 from repro.exec import JobRunner, ResultCache, make_job
-from repro.exec.cache import cache_key
-from repro.exec.jobs import canonical_json, execute_job, job_key
+from repro.exec.cache import CACHE_SCHEMA, cache_key
+from repro.exec.jobs import canonical_dict, canonical_json, execute_job, \
+    job_key
 from repro.exec.pool import resolve_jobs
 from repro.machine.params import MachineParams
+from repro.sim.stats import HandlerSample, RunStats
+from repro.workloads.aq import AdaptiveQuadrature
+from repro.workloads.tsp import TSP
 from repro.workloads.worker import WorkerBenchmark
 
 TINY = dict(worker_set_size=2, iterations=1)
@@ -72,15 +79,37 @@ class TestJobKeys:
                      params=tweaked)
         assert job_key(a) != job_key(b)
 
+    @pytest.mark.parametrize("params", [
+        MachineParams(),
+        MachineParams(n_nodes=64, cache_bytes=32 * 1024,
+                      victim_cache_enabled=True, perfect_ifetch=True,
+                      watchdog_threshold=1000),
+    ], ids=["default", "tweaked"])
+    def test_canonical_params_equal_asdict(self, params):
+        # The canonical form copies the params shallowly; it must encode
+        # exactly as dataclasses.asdict did, or every key would move.
+        job = make_job(WorkerBenchmark, dict(TINY), protocol="DirnH5SNB",
+                       params=params)
+        doc = canonical_dict(job)
+        assert doc["params"] == dataclasses.asdict(params)
+        expected = dict(doc, params=dataclasses.asdict(params))
+        assert canonical_json(job) == json.dumps(
+            expected, sort_keys=True, separators=(",", ":"))
+
 
 # ----------------------------------------------------------------------
-# RunStats JSON round trip
+# RunStats cache record round trip
 # ----------------------------------------------------------------------
+
+def dumps(doc) -> str:
+    """The result cache's encoding."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
 
 def test_runstats_json_round_trip():
     stats = execute_job(tiny_job())
-    encoded = json.dumps(stats.to_json_dict(), sort_keys=True)
-    restored = type(stats).from_json_dict(json.loads(encoded))
+    encoded = json.dumps(stats.to_record(), sort_keys=True)
+    restored = type(stats).from_record(json.loads(encoded))
     assert restored.run_cycles == stats.run_cycles
     assert restored.sequential_cycles == stats.sequential_cycles
     assert restored.n_nodes == stats.n_nodes
@@ -88,7 +117,84 @@ def test_runstats_json_round_trip():
     assert restored.per_node == stats.per_node
     assert restored.handler_samples == stats.handler_samples
     # And the round trip is a fixed point: re-encoding is identical.
-    assert json.dumps(restored.to_json_dict(), sort_keys=True) == encoded
+    assert json.dumps(restored.to_record(), sort_keys=True) == encoded
+
+
+#: Jobs whose results the record tests encode: hardware-extended and
+#: software-only protocols, no samples and many, with and without an
+#: attribution artifact.
+RECORD_JOBS = {
+    "worker": make_job(WorkerBenchmark,
+                       {"worker_set_size": 8, "iterations": 2},
+                       protocol="DirnH5SNB", n_nodes=16),
+    "aq": make_job(AdaptiveQuadrature, {"tolerance": 0.05},
+                   protocol="DirnH1SNB", n_nodes=16),
+    "tsp16": make_job(TSP, {}, protocol="DirnH5SNB", n_nodes=16),
+    "software_only": make_job(AdaptiveQuadrature, {"tolerance": 0.05},
+                              protocol="DirnH0SNB,ACK", n_nodes=16),
+    "attributed": make_job(WorkerBenchmark,
+                           {"worker_set_size": 8, "iterations": 1},
+                           protocol="DirnH5SNB", n_nodes=16,
+                           attribution=True),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(RECORD_JOBS))
+def record_stats(request):
+    return execute_job(RECORD_JOBS[request.param])
+
+
+def with_distinct_breakdowns(stats: RunStats) -> RunStats:
+    """``stats`` with every sample holding its own breakdown dict, every
+    other one with its keys inserted in reverse order."""
+    return dataclasses.replace(stats, handler_samples=[
+        HandlerSample(s.kind, s.implementation, s.node, s.pointers,
+                      s.latency, dict(list(s.breakdown.items())[::step]))
+        for s, step in zip(stats.handler_samples, itertools.cycle((1, -1)))])
+
+
+class TestRunStatsRecord:
+    def test_round_trip_is_exact(self, record_stats):
+        before = record_stats.to_json_dict()
+        restored = RunStats.from_record(
+            json.loads(dumps(record_stats.to_record())))
+        assert restored == record_stats
+        assert restored.to_json_dict() == before
+        assert record_stats.to_json_dict() == before
+        assert restored.digest() == record_stats.digest()
+
+    def test_re_encoding_is_a_fixed_point(self, record_stats):
+        encoded = dumps(record_stats.to_record())
+        restored = RunStats.from_record(json.loads(encoded))
+        assert dumps(restored.to_record()) == encoded
+
+    def test_breakdowns_are_keyed_by_value(self, record_stats):
+        distinct = with_distinct_breakdowns(record_stats)
+        assert distinct == record_stats
+        assert dumps(distinct.to_record()) == \
+            dumps(record_stats.to_record())
+
+    def test_loaded_samples_share_equal_breakdowns(self, record_stats):
+        record = record_stats.to_record()
+        samples = record_stats.handler_samples
+        assert len(record["samples"]) == len(samples)
+        if samples:  # tens of samples or more, a few breakdowns
+            assert len(record["breakdowns"]) < len(samples)
+        restored = RunStats.from_record(json.loads(dumps(record)))
+        first = {}
+        for sample in restored.handler_samples:
+            value = tuple(sorted(sample.breakdown.items()))
+            assert first.setdefault(value, sample.breakdown) \
+                is sample.breakdown
+        assert len(first) == len(record["breakdowns"])
+
+    def test_record_omits_the_per_sample_dicts(self, record_stats):
+        record = record_stats.to_record()
+        json_form = record_stats.to_json_dict()
+        assert "handler_samples" not in record
+        del json_form["handler_samples"]
+        del record["breakdowns"], record["samples"]
+        assert record == json_form
 
 
 # ----------------------------------------------------------------------
@@ -138,6 +244,19 @@ class TestResultCache:
                             costmodel.COST_MODEL_VERSION + 1)
         assert cache.get(job) is None
 
+    def test_get_decodes_the_record(self, tmp_path):
+        cache = ResultCache(str(tmp_path))
+        job = RECORD_JOBS["software_only"]
+        stats = execute_job(job)
+        cache.put(job, stats)
+        with open(cache.path_for(job), encoding="utf-8") as fh:
+            text = fh.read()
+        doc = json.loads(text)
+        assert doc["schema"] == CACHE_SCHEMA == "repro-exec-cache/2"
+        assert doc["stats"] == json.loads(dumps(stats.to_record()))
+        assert text == dumps(doc)
+        assert cache.get(job) == stats
+
     def test_prune_removes_stale_entries(self, tmp_path, monkeypatch):
         from repro.core.software import costmodel
 
@@ -150,6 +269,56 @@ class TestResultCache:
         cache.put(job, stats)  # current-version entry survives
         assert cache.prune() == 1
         assert cache.get(job) is not None
+
+
+
+def schema_1_key(job) -> str:
+    """The cache key schema 1 gave ``job``."""
+    from repro import __version__
+    from repro.core.software import costmodel
+
+    doc = {
+        "schema": "repro-exec-cache/1",
+        "job": canonical_dict(job),
+        "cost_model_version": costmodel.COST_MODEL_VERSION,
+        "package_version": __version__,
+    }
+    return hashlib.sha256(dumps(doc).encode("utf-8")).hexdigest()
+
+
+def write_schema_1_entry(path: str, job, stats: RunStats) -> None:
+    """A cache entry as schema 1 wrote it: the full JSON form."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"schema": "repro-exec-cache/1",
+                   "job": canonical_dict(job),
+                   "stats": stats.to_json_dict()},
+                  fh, sort_keys=True, separators=(",", ":"))
+
+
+class TestCacheSchema:
+    def test_schema_1_entry_is_a_miss_and_pruned(self, tmp_path):
+        cache = ResultCache(str(tmp_path))
+        job = RECORD_JOBS["software_only"]
+        key = schema_1_key(job)
+        old_path = os.path.join(str(tmp_path), key[:2], key + ".json")
+        assert cache.path_for(job) != old_path
+        write_schema_1_entry(old_path, job, execute_job(job))
+        assert cache.get(job) is None
+        assert cache.misses == 1
+        assert cache.prune(dry_run=True) == 1
+        assert cache.prune() == 1
+        assert not os.path.exists(old_path)
+
+    def test_schema_1_document_is_never_decoded(self, tmp_path):
+        # Even under a current key, a schema-1 document reads as a miss.
+        cache = ResultCache(str(tmp_path))
+        job = RECORD_JOBS["software_only"]
+        stats = execute_job(job)
+        write_schema_1_entry(cache.path_for(job), job, stats)
+        assert cache.get(job) is None
+        cache.put(job, stats)  # the unreadable entry is replaced
+        assert cache.get(job) == stats
 
 
 # ----------------------------------------------------------------------
