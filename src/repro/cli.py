@@ -63,7 +63,6 @@ from repro.obs import (
     format_trace,
     load_eta_hints,
     metrics_dict,
-    prometheus_snapshot,
     read_fleet_log,
     summarize_fleet_log,
     write_json,
@@ -221,9 +220,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              help="append every telemetry event to FILE "
                                   "as repro-fleetlog/1 JSONL (summarize "
                                   "later with 'repro status FILE')")
-    experiments.add_argument("--prom-out", metavar="FILE", default=None,
-                             help="write a Prometheus text-format "
-                                  "snapshot of the final sweep status")
 
     analyze = sub.add_parser(
         "analyze",
@@ -309,9 +305,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="the JSONL fleet log to summarize")
     status.add_argument("--json", dest="json_out", action="store_true",
                         help="print the summary as JSON instead of text")
-    status.add_argument("--prom", action="store_true",
-                        help="print the summary in Prometheus text "
-                             "exposition format")
     status.add_argument("--follow", action="store_true",
                         help="poll the log of a live sweep and "
                              "re-render its status line until "
@@ -694,7 +687,7 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
     # and every cache key are byte-identical with or without them
     # (CI-gated).
     monitor = printer = None
-    if args.progress or args.fleet_log or args.prom_out:
+    if args.progress or args.fleet_log:
         if args.progress:
             printer = ProgressPrinter()
         monitor = FleetMonitor(
@@ -737,10 +730,6 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
         monitor.finish(jobs_executed=runner.jobs_executed)
     if printer is not None:
         printer.done()
-    if args.prom_out and monitor is not None:
-        with open(args.prom_out, "w", encoding="utf-8") as fh:
-            fh.write(prometheus_snapshot(monitor.summary()))
-        print(f"wrote {args.prom_out}")
     cache = runner.cache
     if cache is None:
         cache_note = "cache off"
@@ -807,9 +796,7 @@ def _cmd_status(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     summary = summarize_fleet_log(events)
-    if args.prom:
-        print(prometheus_snapshot(summary), end="")
-    elif args.json_out:
+    if args.json_out:
         json.dump(summary, sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")
     else:

@@ -487,7 +487,7 @@ class LimitedPointerBackend(DirectoryBackend):
                        targets: Set[int]) -> None:
         for index, target in enumerate(sorted(targets)):
             self.node.send_protocol(
-                msg.INV, target, entry.block, requester=requester,
+                msg.INV, target, entry.block,
                 extra_delay=DIR_LATENCY + index * HW_INV_SPACING,
             )
         self.node.stats.invalidations_hw += len(targets)
@@ -523,7 +523,7 @@ class LimitedPointerBackend(DirectoryBackend):
         entry.sw_write = False
         kind = msg.FETCH_INV if fetch_inv else msg.FETCH_RD
         self.node.send_protocol(kind, owner, entry.block,
-                                requester=requester, extra_delay=DIR_LATENCY)
+                                extra_delay=DIR_LATENCY)
 
     def _finish_fetch(self, entry: DirectoryEntry, owner: int) -> None:
         if entry.pending_owner != owner:
@@ -554,7 +554,7 @@ class LimitedPointerBackend(DirectoryBackend):
         entry.pending_owner = None
         delay = 0 if via_software else self.mem_latency
         self.node.send_protocol(msg.WDATA, requester, entry.block,
-                                requester=requester, extra_delay=delay)
+                                extra_delay=delay)
         self.node.machine.note_grant(entry.block, requester, write=True)
 
     def note_grant(self, block: int, requester: int) -> None:
@@ -562,7 +562,7 @@ class LimitedPointerBackend(DirectoryBackend):
         self.node.machine.note_grant(block, requester)
 
     def _grant(self, kind: str, requester: int, block: int) -> None:
-        self.node.send_protocol(kind, requester, block, requester=requester,
+        self.node.send_protocol(kind, requester, block,
                                 extra_delay=self.mem_latency)
         self.note_grant(block, requester)
 
@@ -631,9 +631,8 @@ class SoftwareOnlyBackend(DirectoryBackend):
                      grants=()) -> None:
         """Charge a handler and launch ``sends`` when it completes."""
         def complete() -> None:
-            for index, (mkind, dst, block, requester) in enumerate(sends):
-                self.iface.transmit(mkind, dst, block,
-                                    requester=requester, index=index)
+            for index, (mkind, dst, block) in enumerate(sends):
+                self.iface.transmit(mkind, dst, block, index=index)
             for grant in grants:
                 self.node.machine.note_grant(*grant)
         self.iface.run_handler(kind, cost, complete, pointers=pointers)
@@ -709,7 +708,7 @@ class SoftwareOnlyBackend(DirectoryBackend):
         home = self.node.id
         entry.state = DirState.READ_ONLY
         entry.sharers.add(home)
-        self.node.send_protocol(msg.RDATA, home, block, requester=home,
+        self.node.send_protocol(msg.RDATA, home, block,
                                 extra_delay=self.mem_latency)
         self.node.machine.note_grant(block, home, write=False)
 
@@ -720,7 +719,7 @@ class SoftwareOnlyBackend(DirectoryBackend):
         entry.state = DirState.READ_WRITE
         entry.owner = home
         entry.sharers = {home}
-        self.node.send_protocol(msg.WDATA, home, block, requester=home,
+        self.node.send_protocol(msg.WDATA, home, block,
                                 extra_delay=self.mem_latency)
         self.node.machine.note_grant(block, home, write=True)
 
@@ -731,7 +730,7 @@ class SoftwareOnlyBackend(DirectoryBackend):
         directory."""
         self.node.stats.busy_replies += 1
         self._defer_sends(self._trap_kind(src), self.iface.cost_model.ack(),
-                          [(msg.BUSY, src, block, None)])
+                          [(msg.BUSY, src, block)])
 
     def owner_busy_trap(self, entry: SoftwareDirEntry, src: int,
                         block: int) -> None:
@@ -740,7 +739,7 @@ class SoftwareOnlyBackend(DirectoryBackend):
         self._note_remote(entry, src)
         self.node.stats.busy_replies += 1
         self._defer_sends(self._trap_kind(src), self.iface.cost_model.ack(),
-                          [(msg.BUSY, src, block, None)])
+                          [(msg.BUSY, src, block)])
 
     def read_fetch(self, entry: SoftwareDirEntry, src: int,
                    block: int) -> None:
@@ -769,13 +768,13 @@ class SoftwareOnlyBackend(DirectoryBackend):
         if src != self.node.id and self.node.id in entry.sharers:
             # Flush the home's own copy (Section 2.3): once the
             # remote-access bit is set, local accesses must trap too.
-            sends.append((msg.INV, self.node.id, block, None))
+            sends.append((msg.INV, self.node.id, block))
             self.node.stats.invalidations_sw += 1
             self._flush_acks[block] = self._flush_acks.get(block, 0) + 1
             entry.sharers.discard(self.node.id)
         entry.state = DirState.READ_ONLY
         entry.sharers.add(src)
-        sends.append((msg.RDATA, src, block, src))
+        sends.append((msg.RDATA, src, block))
         small = self.iface.is_small_set(len(entry.sharers))
         cost = self.iface.cost_model.sw_request("read", 1, small)
         self._defer_sends(trap_kind, cost, sends, pointers=1,
@@ -794,7 +793,7 @@ class SoftwareOnlyBackend(DirectoryBackend):
         entry.owner = src
         entry.sharers = {src}
         self._defer_sends(trap_kind, cost,
-                          [(msg.WDATA, src, block, src)],
+                          [(msg.WDATA, src, block)],
                           grants=[(block, src, True)])
 
     def write_invalidate(self, entry: SoftwareDirEntry, src: int,
@@ -816,8 +815,7 @@ class SoftwareOnlyBackend(DirectoryBackend):
         entry.pending_requester = src
         entry.sw_ack_count = len(targets) + absorbed
         entry.sharers = set()
-        sends = [(msg.INV, target, block, src)
-                 for target in sorted(targets)]
+        sends = [(msg.INV, target, block) for target in sorted(targets)]
         self.node.stats.invalidations_sw += len(targets)
         self._defer_sends(trap_kind, cost, sends, pointers=len(targets))
 
@@ -834,7 +832,7 @@ class SoftwareOnlyBackend(DirectoryBackend):
         cost = self.iface.cost_model.sw_request(
             "read" if is_read else "write", 1)
         self._defer_sends(trap_kind, cost,
-                          [(msg.FETCH_INV, owner, entry.block, requester)],
+                          [(msg.FETCH_INV, owner, entry.block)],
                           pointers=1)
 
     # ------------------------------------------------------------------
@@ -860,7 +858,7 @@ class SoftwareOnlyBackend(DirectoryBackend):
         entry.pending_requester = None
         self._defer_sends(TrapKind.ACK_LAST,
                           self.iface.cost_model.last_ack(),
-                          [(msg.WDATA, requester, block, requester)],
+                          [(msg.WDATA, requester, block)],
                           grants=[(block, requester, True)])
 
     def flush_ack(self, entry, src: int, block: int) -> None:
@@ -885,7 +883,7 @@ class SoftwareOnlyBackend(DirectoryBackend):
         entry.sharers = {requester}
         entry.pending_requester = None
         self._defer_sends(TrapKind.REMOTE_REQUEST, cost,
-                          [(msg.RDATA, requester, block, requester)],
+                          [(msg.RDATA, requester, block)],
                           grants=[(block, requester)])
 
     def fetch_complete_write(self, entry: SoftwareDirEntry, src: int,
@@ -899,7 +897,7 @@ class SoftwareOnlyBackend(DirectoryBackend):
         entry.sharers = {requester}
         entry.pending_requester = None
         self._defer_sends(TrapKind.REMOTE_REQUEST, cost,
-                          [(msg.WDATA, requester, block, requester)],
+                          [(msg.WDATA, requester, block)],
                           grants=[(block, requester, True)])
 
     def writeback_private(self, entry: SoftwareDirEntry, src: int,

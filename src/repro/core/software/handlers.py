@@ -70,8 +70,7 @@ class ProtocolSoftware:
             entry.record(requester)
             entry.extended = True
             entry.sw_pending = False
-            self.iface.transmit(msg.RDATA, requester, block,
-                                requester=requester)
+            self.iface.transmit(msg.RDATA, requester, block)
             self.home.note_grant(block, requester)
 
         self.iface.run_handler(TrapKind.READ_OVERFLOW, cost, complete,
@@ -146,11 +145,11 @@ class ProtocolSoftware:
         entry.sw_write = True
         if sequential and len(targets) > 1:
             ordered = sorted(targets)
-            self.iface.transmit(msg.INV, ordered[0], block, writer)
+            self.iface.transmit(msg.INV, ordered[0], block)
             self.home.node.stats.invalidations_sw += 1
             entry.seq_targets = ordered[1:]
             return
-        self.iface.transmit_invalidations(targets, block, requester=writer)
+        self.iface.transmit_invalidations(targets, block)
         if self.spec.ack_mode is AckMode.SOFTWARE:
             # The hardware pointer is unused during the process; software
             # keeps the count (Section 2.4, first variant).
@@ -202,7 +201,7 @@ class ProtocolSoftware:
             cost = self.iface.cost_model.ack_forward()
 
             def complete() -> None:
-                self.iface.transmit(msg.INV, target, block, writer)
+                self.iface.transmit(msg.INV, target, block)
                 self.home.node.stats.invalidations_sw += 1
 
             self.iface.run_handler(TrapKind.ACK_SOFTWARE, cost, complete)

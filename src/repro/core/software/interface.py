@@ -97,7 +97,7 @@ class CoherenceInterface:
     # ------------------------------------------------------------------
 
     def transmit(self, kind: str, dst: int, block: int,
-                 requester: Optional[int] = None, index: int = 0) -> None:
+                 index: int = 0) -> None:
         """Launch one protocol message from software.
 
         ``index`` spaces successive launches from the same handler (the
@@ -105,16 +105,16 @@ class CoherenceInterface:
         launch rate).
         """
         self.node.send_protocol(
-            kind, dst, block, requester=requester,
+            kind, dst, block,
             extra_delay=index * self.cost_model.message_spacing,
         )
 
-    def transmit_invalidations(self, targets: Iterable[int], block: int,
-                               requester: Optional[int]) -> int:
+    def transmit_invalidations(self, targets: Iterable[int],
+                               block: int) -> int:
         """Send an invalidation to each target; returns the count."""
         count = 0
         for index, target in enumerate(sorted(targets)):
-            self.transmit(msg.INV, target, block, requester, index=index)
+            self.transmit(msg.INV, target, block, index=index)
             count += 1
         self.node.stats.invalidations_sw += count
         return count

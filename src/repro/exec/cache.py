@@ -60,8 +60,11 @@ CACHE_SCHEMA = "repro-exec-cache/2"
 #: Default cache directory, relative to the working directory.
 DEFAULT_CACHE_DIR = ".repro-cache"
 
-#: What reading a missing, torn or foreign cache file raises.
-_UNREADABLE = (OSError, ValueError, KeyError, TypeError, IndexError)
+#: What reading a missing, torn or foreign cache file raises (a JSON
+#: value of the wrong shape, like a list where an object belongs, raises
+#: AttributeError).
+_UNREADABLE = (OSError, ValueError, KeyError, TypeError, IndexError,
+               AttributeError)
 
 
 def cache_key(job: SimJob) -> str:
@@ -230,7 +233,7 @@ class ResultCache:
                     with open(path, "r", encoding="utf-8") as fh:
                         job_doc = json.load(fh).get("job", {})
                     stale = name != _key(job_doc) + ".json"
-                except (OSError, ValueError, _Expired):
+                except _UNREADABLE + (_Expired,):
                     stale = True
                 if stale:
                     removed += 1

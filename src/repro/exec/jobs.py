@@ -14,6 +14,11 @@ three things at once:
 - **Caching**: a spec has a canonical JSON form and therefore a stable
   hash, which keys the on-disk result cache (:mod:`repro.exec.cache`).
 
+:func:`execute_job` runs one spec on a fresh machine and returns only
+its result.  Nothing about the run's host cost is measured here: the
+runner calls it through :func:`repro.obs.fleet.run_timed`, which
+times it from outside, so telemetry never attaches to the machine.
+
 Because the simulator is deterministic, a job's spec fully determines
 its :class:`~repro.sim.stats.RunStats`; two jobs with equal keys are the
 *same* experiment.
@@ -24,14 +29,11 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Tuple, Type
+from typing import Any, Dict, Mapping, Optional, Tuple, Type
 
 from repro.machine.params import MachineParams
 from repro.sim.stats import RunStats
 from repro.workloads.base import Workload
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.obs.fleet import FleetTelemetry
 
 
 @dataclasses.dataclass(frozen=True)
@@ -163,8 +165,7 @@ def job_key(job: SimJob) -> str:
 # Execution
 # ----------------------------------------------------------------------
 
-def execute_job(job: SimJob, check_invariants: bool = False,
-                telemetry: Optional["FleetTelemetry"] = None) -> RunStats:
+def execute_job(job: SimJob, check_invariants: bool = False) -> RunStats:
     """Run one job to completion on a fresh machine.
 
     Module-level (not a closure) so worker processes can unpickle and
@@ -174,12 +175,11 @@ def execute_job(job: SimJob, check_invariants: bool = False,
     identical either way) and any violation raises
     :class:`~repro.core.protocol.invariants.InvariantViolation`.
 
-    ``check_invariants`` and ``telemetry`` are execution-mode knobs,
-    not part of the job spec, so they never change a job's cache key.
-    A :class:`~repro.obs.fleet.FleetTelemetry` streams job lifecycle
-    events (started / sim-cycle heartbeats / finished with wall time
-    and peak RSS) to the parent; like every observer it reads state and
-    schedules nothing, so results are identical with it attached.
+    ``check_invariants`` is an execution-mode knob, not part of the job
+    spec, so it never changes a job's cache key.  Fleet telemetry
+    attaches nothing here: the runner times the call from outside
+    (:func:`repro.obs.fleet.run_timed`), so a job runs the same
+    machine with telemetry on or off.
     """
     from repro.machine.machine import Machine
 
@@ -200,21 +200,7 @@ def execute_job(job: SimJob, check_invariants: bool = False,
         from repro.obs.attribution import AttributionReport
 
         report = AttributionReport.attach(machine)
-    key = None
-    if telemetry is not None:
-        key = job_key(job)
-        telemetry.job_started(key, workload=job.workload_cls.__name__,
-                              protocol=job.protocol,
-                              n_nodes=job.params.n_nodes)
-        telemetry.watch(machine, key)
-    try:
-        stats = machine.run(job.build_workload())
-    except BaseException as exc:
-        if telemetry is not None:
-            telemetry.job_failed(key, exc)
-        raise
-    if telemetry is not None:
-        telemetry.job_finished(key, stats.run_cycles)
+    stats = machine.run(job.build_workload())
     if checker is not None:
         checker.finish()
         checker.assert_clean()

@@ -17,13 +17,18 @@ value.
 debugging-friendly serial fallback.  ``jobs="auto"`` uses one worker per
 CPU.
 
+Every job, serial or pooled, runs through one call,
+``run_timed(execute_job, job, check_invariants)``
+(:func:`repro.obs.fleet.run_timed`), which returns the job's result
+with the pid, wall seconds and peak RSS of the process that ran it, so
+the runner has one execution path whether telemetry is on or off.
+
 **Fleet telemetry** (:mod:`repro.obs.fleet`) rides the runner as a pure
-side channel: pass ``telemetry=FleetMonitor(...)`` and the runner
-streams plan/cache/memo events itself, wires the result cache's hook,
-and — in pool mode — hands every worker process a ``multiprocessing``
-manager queue (via the executor's initializer) whose events a drain
-thread relays into the monitor.  Nothing telemetry produces feeds back
-into job selection, execution order, or results, so the result map and
+side channel: pass ``telemetry=FleetMonitor(...)`` and the parent
+emits every event itself: plan, cache and memo events, and each job's
+start, finish (wall time, peak RSS) or failure, built from what
+``run_timed`` returned.  Nothing telemetry produces feeds back into
+job selection, execution order, or results, so the result map and
 every cache key are byte-identical with telemetry on or off.
 """
 
@@ -36,7 +41,6 @@ from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
-    List,
     Optional,
     Sequence,
     Tuple,
@@ -45,14 +49,17 @@ from typing import (
 
 from repro.exec.cache import ResultCache
 from repro.exec.jobs import SimJob, execute_job, job_key
+from repro.obs.fleet import event, job_finished_event, run_timed
 from repro.sim.stats import RunStats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from concurrent.futures import Future
-
     from repro.obs.fleet import FleetMonitor
 
 JobsSpec = Union[int, str]
+
+#: What :func:`~repro.obs.fleet.run_timed` returns for a job:
+#: ``(stats, pid, wall_s, peak_rss_kb)``.
+JobReport = Tuple[RunStats, int, float, Optional[int]]
 
 
 def resolve_jobs(value: JobsSpec) -> int:
@@ -139,32 +146,26 @@ class JobRunner:
         drivers that planned plain jobs look results up unchanged.
     telemetry:
         A :class:`~repro.obs.fleet.FleetMonitor` that receives the
-        sweep's event stream: plan/dedup/memo events from the runner,
-        hit/miss/put events from the cache, and job lifecycle events
-        (start, sim-cycle heartbeats, finish with wall time and peak
-        RSS) from workers — in-process when serial, relayed over a
-        manager queue when pooled.  Strictly a side channel: results
-        and cache keys are byte-identical with or without it.
-    heartbeat_every:
-        Simulated cycles between worker ``job_progress`` heartbeats.
+        sweep's event stream, all of it emitted by this process:
+        plan/dedup/memo events, hit/miss/put events from the cache, and
+        each job's start, finish (wall time and peak RSS of the process
+        that ran it) or failure.  A serial job's ``job_started`` is
+        emitted before it runs; a pooled job's start and finish are
+        emitted together when its future completes.  Strictly a side
+        channel: results and cache keys are byte-identical with or
+        without it.
     """
 
     def __init__(self, jobs: JobsSpec = 1,
                  cache: Optional[ResultCache] = None,
                  check_invariants: bool = False,
                  attribution: bool = False,
-                 telemetry: Optional["FleetMonitor"] = None,
-                 heartbeat_every: Optional[int] = None) -> None:
+                 telemetry: Optional["FleetMonitor"] = None) -> None:
         self.n_workers = resolve_jobs(jobs)
         self.cache = cache
         self.check_invariants = check_invariants
         self.attribution = attribution
         self.telemetry = telemetry
-        if heartbeat_every is None:
-            from repro.obs.fleet import DEFAULT_HEARTBEAT
-
-            heartbeat_every = DEFAULT_HEARTBEAT
-        self.heartbeat_every = heartbeat_every
         if telemetry is not None and cache is not None:
             cache.on_event = self._cache_event
         self._memo: Dict[str, RunStats] = {}
@@ -174,9 +175,18 @@ class JobRunner:
 
     def _emit(self, event_type: str, **fields) -> None:
         if self.telemetry is not None:
-            from repro.obs.fleet import event
-
             self.telemetry.handle(event(event_type, **fields))
+
+    def _job_started(self, key: str, job: SimJob,
+                     pid: Optional[int]) -> None:
+        self._emit("job_started", key=key, pid=pid,
+                   workload=job.workload_cls.__name__,
+                   protocol=job.protocol, n_nodes=job.params.n_nodes)
+
+    def _job_failed(self, key: str, pid: Optional[int],
+                    error: BaseException) -> None:
+        self._emit("job_failed", key=key, pid=pid,
+                   error=f"{type(error).__name__}: {error}")
 
     def _cache_event(self, kind: str, job: SimJob) -> None:
         self._emit("cache_" + kind, key=job_key(job))
@@ -220,9 +230,13 @@ class JobRunner:
             self._emit("job_queued", key=key)
 
         if pending:
-            def store(key: str, stats: RunStats) -> None:
+            def store(key: str, report: JobReport) -> None:
                 # Each result is kept the moment it finishes, so a
                 # failing job costs a retry only itself.
+                stats, pid, wall_s, peak_rss_kb = report
+                if self.telemetry is not None:
+                    self.telemetry.handle(job_finished_event(
+                        key, pid, stats.run_cycles, wall_s, peak_rss_kb))
                 self._memo[key] = stats
                 results[key] = stats
                 if self.cache is not None:
@@ -237,121 +251,47 @@ class JobRunner:
                 for submitted, executed in aliases.items()}
 
     def _run_serial(self, pending: "OrderedDict[str, SimJob]",
-                    store: Callable[[str, RunStats], None]) -> None:
+                    store: Callable[[str, JobReport], None]) -> None:
         """Run ``pending`` in plan order; the first failure stops the
         run and raises."""
-        worker_telemetry = None
-        if self.telemetry is not None:
-            from repro.obs.fleet import FleetTelemetry
-
-            worker_telemetry = FleetTelemetry(
-                self.telemetry.handle,
-                heartbeat_every=self.heartbeat_every)
+        pid = os.getpid()
         for key, job in pending.items():
-            store(key, execute_job(job,
-                                   check_invariants=self.check_invariants,
-                                   telemetry=worker_telemetry))
+            self._job_started(key, job, pid)
+            try:
+                report = run_timed(execute_job, job, self.check_invariants)
+            except BaseException as exc:
+                self._job_failed(key, pid, exc)
+                raise
+            store(key, report)
 
     def _run_pool(self, pending: "OrderedDict[str, SimJob]",
-                  store: Callable[[str, RunStats], None]) -> None:
+                  store: Callable[[str, JobReport], None]) -> None:
         """Run ``pending`` on a process pool, storing each result as it
-        finishes; then raise the first failure in plan order."""
-        from concurrent.futures import ProcessPoolExecutor
+        finishes; then raise the first failure in plan order.
 
-        workers = min(self.n_workers, len(pending))
-        keys: List[str] = list(pending)
+        A job's start is announced when its future completes, with the
+        pid of the worker that ran it; a failed job's worker is not
+        known, so its events carry ``pid=None``.
+        """
+        from concurrent.futures import ProcessPoolExecutor, as_completed
 
-        if self.telemetry is None:
-            with ProcessPoolExecutor(max_workers=workers) as executor:
-                futures = {
-                    executor.submit(execute_job, pending[key],
-                                    self.check_invariants): key
-                    for key in keys
-                }
-                _store_as_completed(futures, keys, store)
-            return
-
-        # Telemetry in pool mode: workers put events on a manager-queue
-        # proxy (picklable, unlike a raw multiprocessing.Queue, so it
-        # survives the trip through the executor's initargs) and a
-        # daemon drain thread relays them into the monitor while the
-        # futures run.  Results are keyed by spec, so the order they
-        # are stored in is irrelevant and telemetry adds none of its own.
-        import multiprocessing
-        import threading
-
-        with multiprocessing.Manager() as manager:
-            queue = manager.Queue()
-
-            def _drain() -> None:
-                while True:
-                    item = queue.get()
-                    if item is None:
-                        return
-                    try:
-                        self.telemetry.handle(item)
-                    except Exception:  # noqa: BLE001 - side channel
-                        pass
-
-            drain = threading.Thread(target=_drain, daemon=True)
-            drain.start()
-            try:
-                with ProcessPoolExecutor(
-                        max_workers=workers,
-                        initializer=_init_worker_telemetry,
-                        initargs=(queue, self.heartbeat_every)) as executor:
-                    futures = {
-                        executor.submit(_execute_job_in_worker,
-                                        pending[key],
-                                        self.check_invariants): key
-                        for key in keys
-                    }
-                    _store_as_completed(futures, keys, store)
-            finally:
-                queue.put(None)
-                drain.join()
-
-
-def _store_as_completed(futures: Dict["Future", str], keys: List[str],
-                        store: Callable[[str, RunStats], None]) -> None:
-    """``store`` every successful future as it completes, then raise
-    the failure of the earliest key in plan order (``keys``), if any."""
-    from concurrent.futures import as_completed
-
-    failures: Dict[str, Exception] = {}
-    for future in as_completed(futures):
-        key = futures[future]
-        try:
-            stats = future.result()
-        except Exception as exc:  # noqa: BLE001 - re-raised below
-            failures[key] = exc
-            continue
-        store(key, stats)
-    for key in keys:
-        if key in failures:
-            raise failures[key]
-
-
-#: Per-worker-process telemetry queue, set by the pool initializer.
-_WORKER_TELEMETRY_QUEUE = None
-_WORKER_HEARTBEAT_EVERY = None
-
-
-def _init_worker_telemetry(queue, heartbeat_every) -> None:
-    """ProcessPoolExecutor initializer: stash the event queue."""
-    global _WORKER_TELEMETRY_QUEUE, _WORKER_HEARTBEAT_EVERY
-    _WORKER_TELEMETRY_QUEUE = queue
-    _WORKER_HEARTBEAT_EVERY = heartbeat_every
-
-
-def _execute_job_in_worker(job: SimJob, check_invariants: bool) -> RunStats:
-    """Worker-process entry point: execute_job + telemetry, if wired."""
-    telemetry = None
-    if _WORKER_TELEMETRY_QUEUE is not None:
-        from repro.obs.fleet import DEFAULT_HEARTBEAT, FleetTelemetry
-
-        telemetry = FleetTelemetry(
-            _WORKER_TELEMETRY_QUEUE.put,
-            heartbeat_every=_WORKER_HEARTBEAT_EVERY or DEFAULT_HEARTBEAT)
-    return execute_job(job, check_invariants=check_invariants,
-                       telemetry=telemetry)
+        failures: Dict[str, Exception] = {}
+        with ProcessPoolExecutor(
+                max_workers=min(self.n_workers, len(pending))) as executor:
+            futures = {executor.submit(run_timed, execute_job, job,
+                                       self.check_invariants): key
+                       for key, job in pending.items()}
+            for future in as_completed(futures):
+                key = futures[future]
+                try:
+                    report = future.result()
+                except Exception as exc:  # noqa: BLE001 - re-raised below
+                    self._job_started(key, pending[key], None)
+                    self._job_failed(key, None, exc)
+                    failures[key] = exc
+                    continue
+                self._job_started(key, pending[key], report[1])
+                store(key, report)
+        for key in pending:
+            if key in failures:
+                raise failures[key]

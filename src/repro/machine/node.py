@@ -77,7 +77,6 @@ class Node:
     # ------------------------------------------------------------------
 
     def send_protocol(self, kind: str, dst: int, block: int,
-                      requester: Optional[int] = None,
                       extra_delay: int = 0,
                       txn: Optional[int] = None) -> None:
         """Launch a protocol (or barrier) message into the fabric.
@@ -103,7 +102,7 @@ class Node:
         # Positional arguments: keyword binding is a measurable share
         # of constructing the message.
         self.machine.fabric.send(
-            Message(self.id, dst, kind, size, block, requester, txn),
+            Message(self.id, dst, kind, size, block, txn),
             extra_delay,
         )
 

@@ -35,11 +35,10 @@ class Message:
     time is known.
 
     ``block`` names the coherence block (the barrier epoch, lock or
-    reduction id for synchronisation messages); ``requester`` is the
-    node the home acts for; ``txn`` is observability metadata only, the
-    id of the data miss the message serves, which the protocol never
-    branches on.  ``payload`` carries anything else a sender needs (the
-    reduction tree's epoch and partial value).
+    reduction id for synchronisation messages); ``txn`` is observability
+    metadata only, the id of the data miss the message serves, which the
+    protocol never branches on.  ``payload`` carries anything else a
+    sender needs (the reduction tree's epoch and partial value).
 
     Hot-path object: one is allocated per protocol message, which for a
     software-heavy run means millions per simulation.  ``__slots__``
@@ -50,12 +49,11 @@ class Message:
     it.  Equality is field-wise, as for the other probe events.
     """
 
-    __slots__ = ("src", "dst", "kind", "size_flits", "block", "requester",
-                 "txn", "payload", "sent_at", "delivered_at")
+    __slots__ = ("src", "dst", "kind", "size_flits", "block", "txn",
+                 "payload", "sent_at", "delivered_at")
 
     def __init__(self, src: int, dst: int, kind: str, size_flits: int,
                  block: Optional[int] = None,
-                 requester: Optional[int] = None,
                  txn: Optional[int] = None, payload: Any = None,
                  sent_at: int = 0, delivered_at: int = 0) -> None:
         self.src = src
@@ -63,7 +61,6 @@ class Message:
         self.kind = kind
         self.size_flits = size_flits
         self.block = block
-        self.requester = requester
         self.txn = txn
         self.payload = payload
         self.sent_at = sent_at

@@ -20,12 +20,11 @@ provides the machinery to *watch* a run without perturbing it:
 - :mod:`repro.obs.attribution` — exact critical-path cycle accounting:
   every stall cycle lands in one named bucket, and the bucket totals
   sum cycle-for-cycle to the run's stall count;
-- :mod:`repro.obs.fleet` — cross-process telemetry for the experiment
-  runner: workers stream job lifecycle events over a multiprocessing
-  queue, the parent aggregates a live sweep status, appends a
-  ``repro-fleetlog/1`` JSONL run log, and snapshots Prometheus text —
-  all side-channel only (results and cache keys are byte-identical
-  with telemetry on or off).
+- :mod:`repro.obs.fleet` — telemetry for the experiment runner: the
+  parent emits every job, plan and cache event, aggregates a live
+  sweep status and appends a ``repro-fleetlog/1`` JSONL run log — all
+  side-channel only (results and cache keys are byte-identical with
+  telemetry on or off).
 
 Observers subscribe to a :class:`~repro.obs.events.EventBus` obtained
 from :meth:`Machine.observe() <repro.machine.machine.Machine.observe>`;
@@ -63,12 +62,10 @@ from repro.obs.fleet import (
     FLEETLOG_SCHEMA,
     FleetLogWriter,
     FleetMonitor,
-    FleetTelemetry,
     ProgressPrinter,
     RunProgress,
     format_fleet_summary,
     load_eta_hints,
-    prometheus_snapshot,
     read_fleet_log,
     replay_fleet_log,
     summarize_fleet_log,
@@ -103,12 +100,10 @@ __all__ = [
     "FLEETLOG_SCHEMA",
     "FleetLogWriter",
     "FleetMonitor",
-    "FleetTelemetry",
     "ProgressPrinter",
     "RunProgress",
     "format_fleet_summary",
     "load_eta_hints",
-    "prometheus_snapshot",
     "read_fleet_log",
     "replay_fleet_log",
     "summarize_fleet_log",

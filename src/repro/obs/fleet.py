@@ -1,34 +1,37 @@
-"""Fleet telemetry: cross-process observability for the experiment runner.
+"""Fleet telemetry: observability for the experiment runner.
 
 PRs 1 and 5 made the *simulated machine* observable; this module makes
 the *fleet that runs it* observable.  A sweep under
-:class:`~repro.exec.pool.JobRunner` is a small distributed system —
-worker processes, a result cache, a plan with dedup — and until now it
-was a black box: a 13-second figure-5 run emitted nothing until it
-returned.
+:class:`~repro.exec.pool.JobRunner` runs a deduplicated plan against a
+result cache, serially or on a process pool, and without telemetry a
+13-second figure-5 run emits nothing until it returns.
 
-The design splits cleanly along the process boundary:
+The parent process emits every event:
 
-- **Workers emit.**  :class:`FleetTelemetry` is the worker-side handle:
-  ``job_started`` / ``job_progress`` (a heartbeat every N *simulated*
-  cycles, driven by the obs event bus's ``advance`` probe) /
-  ``job_finished`` (wall time, sim-cycles/sec, peak RSS) /
-  ``job_failed``.  In a pool, events travel over a ``multiprocessing``
-  manager queue; serially, they are delivered in-process.  Emission is
-  fire-and-forget: a broken queue is swallowed, never raised into the
-  simulation.
-- **The parent aggregates.**  :class:`FleetMonitor` consumes events
-  from any number of workers plus the runner's own plan/cache events,
-  maintains a live sweep status (completed/running/queued jobs,
-  aggregate sim throughput, cache hit rate, ETA from the per-driver
-  timings in ``BENCH_experiments.json``), renders the opt-in
-  ``--progress`` line, appends every event to an append-only JSONL run
-  log (one ``repro-fleetlog/1`` event per line), and snapshots the
-  whole status in Prometheus text exposition format.
+- **Jobs report their cost.**  Every job, serial or pooled, runs
+  through :func:`run_timed`, which returns the job's
+  :class:`~repro.sim.stats.RunStats` together with the pid of the
+  process that ran it, its wall seconds and that process's peak RSS.
+  The runner turns these into ``job_started`` / ``job_finished`` /
+  ``job_failed`` events.  A serial job is announced before it runs; a
+  pooled job's start and finish are both known only when its future
+  completes, so only a serial sweep shows jobs "running".  Nothing is
+  attached to the simulated machine, so a telemetry sweep runs the
+  same engine loop as a silent one.
+- **The parent aggregates.**  :class:`FleetMonitor` consumes the
+  runner's job, plan and cache events, maintains a live sweep status
+  (completed/running/queued jobs, aggregate sim throughput, cache hit
+  rate, ETA from the per-driver timings in ``BENCH_experiments.json``),
+  renders the opt-in ``--progress`` line and appends every event to an
+  append-only JSONL run log (one ``repro-fleetlog/1`` event per line).
 - **Logs replay.**  :func:`read_fleet_log` parses and validates a log;
   :func:`summarize_fleet_log` replays it through a fresh monitor, so
   ``repro status sweep.jsonl`` summarizes a finished (or crashed) run
   from the log alone.
+
+``repro run --progress`` (:class:`RunProgress`) is the one in-run
+view: a single interactive run whose ``advance`` subscriber feeds
+``job_progress`` heartbeats into its own monitor.
 
 The hard invariant, inherited from the rest of ``repro.obs`` and
 CI-gated: **telemetry is a side channel.**  Result dicts, cache keys,
@@ -44,7 +47,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-import threading
 import time
 from typing import (
     Any,
@@ -55,6 +57,7 @@ from typing import (
     Optional,
     Sequence,
     TYPE_CHECKING,
+    Tuple,
 )
 
 from repro.common import CHECKOUT_ROOT
@@ -66,9 +69,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Schema tag of the JSONL run log; bump when event shapes change.
 FLEETLOG_SCHEMA = "repro-fleetlog/1"
 
-#: Default heartbeat interval in *simulated* cycles between
-#: ``job_progress`` events.  ~100k cycles is a few heartbeats per
-#: second at the engine's measured throughput.
+#: Default heartbeat interval in *simulated* cycles between the
+#: ``job_progress`` events of ``repro run --progress``.  ~100k cycles is
+#: a few heartbeats per second at the engine's measured throughput.
 DEFAULT_HEARTBEAT = 100_000
 
 #: Default location of the per-driver timing hints used for ETAs: the
@@ -89,8 +92,9 @@ EVENT_FIELDS: Dict[str, Sequence[str]] = {
     "cache_miss": ("key",),
     "cache_put": ("key",),
     "job_started": ("key", "pid"),
-    # Optional extra fields are schema-legal (the schema is
-    # append-only): logs from older releases carry a partition id on
+    # Written by ``repro run --progress``, and by sweeps of older
+    # releases.  Optional extra fields are schema-legal (the schema is
+    # append-only): some older logs carry a partition id on
     # job_progress, which readers ignore.
     "job_progress": ("key", "pid", "cycles"),
     "job_finished": ("key", "pid", "wall_s", "run_cycles",
@@ -152,73 +156,38 @@ def validate_event(doc: Any) -> Dict[str, Any]:
 
 
 # ----------------------------------------------------------------------
-# Worker side
+# Job reports
 # ----------------------------------------------------------------------
 
-class FleetTelemetry:
-    """Worker-side event emitter.
+def _clock() -> float:
+    """Host seconds for timing one job or run."""
+    return time.perf_counter()  # repro: allow-nondet(wall-clock job timing is telemetry only; it is never mixed into simulation results)
 
-    ``send`` delivers one event dict — directly into a
-    :meth:`FleetMonitor.handle` when running in-process, or
-    ``queue.put`` when the worker lives in a pool process.  Every send
-    is wrapped: telemetry must never raise into the simulation it
-    observes, so a full or torn-down queue silently drops events.
+
+def run_timed(run: Callable[..., "RunStats"], *args: Any,
+              ) -> Tuple["RunStats", int, float, Optional[int]]:
+    """Call ``run(*args)``; returns ``(stats, pid, wall_s, peak_rss_kb)``.
+
+    ``stats`` is what ``run`` returned; the rest is what the call cost:
+    the pid of the process that made it, its wall seconds and that
+    process's peak RSS.  Module-level, so a pool worker can unpickle and
+    call it.  :class:`~repro.exec.pool.JobRunner` runs every job through
+    it, as ``run_timed(execute_job, job, check_invariants)``, with
+    telemetry on or off, and the parent builds the job events from the
+    returned values.
     """
+    t0 = _clock()
+    stats = run(*args)
+    return stats, os.getpid(), _clock() - t0, _peak_rss_kb()
 
-    def __init__(self, send: Callable[[Dict[str, Any]], None],
-                 heartbeat_every: int = DEFAULT_HEARTBEAT) -> None:
-        self._send = send
-        self.heartbeat_every = max(1, int(heartbeat_every))
-        self._job_t0: Dict[str, float] = {}
 
-    def emit(self, event_type: str, **fields: Any) -> None:
-        try:
-            self._send(event(event_type, pid=os.getpid(), **fields))
-        except Exception:  # noqa: BLE001 - side channel, never propagate
-            pass
-
-    # -- job lifecycle -------------------------------------------------
-
-    def job_started(self, key: str, **fields: Any) -> None:
-        self._job_t0[key] = time.perf_counter()  # repro: allow-nondet(wall-clock job timing is telemetry only; it is never mixed into simulation results)
-        self.emit("job_started", key=key, **fields)
-
-    def job_finished(self, key: str, run_cycles: int) -> None:
-        t0 = self._job_t0.pop(key, None)
-        wall = 0.0
-        if t0 is not None:
-            wall = time.perf_counter() - t0  # repro: allow-nondet(wall-clock job timing is telemetry only; it is never mixed into simulation results)
-        rate = run_cycles / wall if wall > 0 else 0.0
-        self.emit("job_finished", key=key, wall_s=round(wall, 6),
-                  run_cycles=run_cycles,
-                  sim_cycles_per_sec=round(rate, 1),
-                  peak_rss_kb=_peak_rss_kb())
-
-    def job_failed(self, key: str, error: BaseException) -> None:
-        self._job_t0.pop(key, None)
-        self.emit("job_failed", key=key,
-                  error=f"{type(error).__name__}: {error}")
-
-    # -- in-run heartbeat ----------------------------------------------
-
-    def watch(self, machine: "Machine", key: str) -> None:
-        """Subscribe a sim-cycle heartbeat to ``machine``'s event bus.
-
-        Fires a ``job_progress`` event each time simulated time crosses
-        a ``heartbeat_every`` boundary.  The subscriber only reads the
-        clock value the engine hands it — like every observer it
-        schedules nothing, so cycle counts are unchanged (the standard
-        ``repro.obs`` zero-perturbation contract).
-        """
-        every = self.heartbeat_every
-        last = [0]
-
-        def _tick(now_cycles: int) -> None:
-            if now_cycles - last[0] >= every:
-                last[0] = now_cycles - (now_cycles % every)
-                self.emit("job_progress", key=key, cycles=now_cycles)
-
-        machine.observe().on_advance.append(_tick)
+def job_finished_event(key: str, pid: int, run_cycles: int, wall_s: float,
+                       peak_rss_kb: Optional[int]) -> Dict[str, Any]:
+    """The ``job_finished`` event of a job that ran ``wall_s`` seconds."""
+    rate = run_cycles / wall_s if wall_s > 0 else 0.0
+    return event("job_finished", key=key, pid=pid, wall_s=round(wall_s, 6),
+                 run_cycles=run_cycles, sim_cycles_per_sec=round(rate, 1),
+                 peak_rss_kb=peak_rss_kb)
 
 
 # ----------------------------------------------------------------------
@@ -310,10 +279,9 @@ def read_fleet_log(path: str,
 class FleetMonitor:
     """Aggregates fleet events into a live sweep status.
 
-    One monitor serves a whole sweep: the runner feeds it plan/cache
-    events, workers feed it job lifecycle events (relayed from the pool
-    queue by the runner's drain thread), and the CLI feeds it section
-    markers.  :meth:`handle` is thread-safe.
+    One monitor serves a whole sweep: the runner feeds it plan, cache
+    and job events, and the CLI feeds it section markers.  Every event
+    arrives from the parent process's one thread.
 
     Parameters
     ----------
@@ -338,7 +306,6 @@ class FleetMonitor:
                  eta_hints: Optional[Dict[str, float]] = None) -> None:
         self._log = FleetLogWriter(log_path) if log_path else None
         self._on_line = on_line
-        self._lock = threading.Lock()
         self._seq = 0
         self.events_handled = 0
 
@@ -404,16 +371,15 @@ class FleetMonitor:
 
     def handle(self, doc: Dict[str, Any]) -> None:
         """Ingest one event: validate, sequence, log, aggregate."""
-        with self._lock:
-            validate_event(doc)
-            doc = dict(doc)
-            doc["seq"] = self._seq
-            self._seq += 1
-            self.events_handled += 1
-            if self._log is not None:
-                self._log.write(doc)
-            self._apply(doc)
-            self._maybe_render(doc["event"])
+        validate_event(doc)
+        doc = dict(doc)
+        doc["seq"] = self._seq
+        self._seq += 1
+        self.events_handled += 1
+        if self._log is not None:
+            self._log.write(doc)
+        self._apply(doc)
+        self._maybe_render(doc["event"])
 
     def _apply(self, doc: Dict[str, Any]) -> None:
         kind = doc["event"]
@@ -611,7 +577,7 @@ class ProgressPrinter:
 
 
 # ----------------------------------------------------------------------
-# Log replay, summaries, exports
+# Log replay and summaries
 # ----------------------------------------------------------------------
 
 def replay_fleet_log(events: Sequence[Dict[str, Any]]) -> FleetMonitor:
@@ -681,64 +647,6 @@ def format_fleet_summary(summary: Dict[str, Any],
     return "\n".join(lines)
 
 
-#: (metric suffix, summary path, help text, prometheus type)
-_PROM_METRICS = (
-    ("jobs_planned", ("planned",),
-     "Jobs submitted to the runner, duplicates included", "gauge"),
-    ("jobs_queued", ("queued",),
-     "Unique jobs waiting to execute", "gauge"),
-    ("jobs_running", ("running",),
-     "Jobs currently executing", "gauge"),
-    ("jobs_completed_total", ("completed",),
-     "Jobs finished successfully", "counter"),
-    ("jobs_failed_total", ("failed",),
-     "Jobs that raised", "counter"),
-    ("cache_hits_total", ("cache", "hits"),
-     "On-disk result cache hits", "counter"),
-    ("cache_misses_total", ("cache", "misses"),
-     "On-disk result cache misses", "counter"),
-    ("cache_puts_total", ("cache", "puts"),
-     "Results written to the on-disk cache", "counter"),
-    ("sim_cycles_total", ("sim_cycles",),
-     "Simulated cycles completed by finished jobs", "counter"),
-    ("sim_cycles_per_second", ("sim_cycles_per_sec",),
-     "Aggregate fleet throughput in simulated cycles per wall second",
-     "gauge"),
-    ("wall_seconds", ("wall_s",),
-     "Wall seconds spanned by the sweep's events", "gauge"),
-    ("peak_rss_kilobytes", ("peak_rss_kb",),
-     "Largest peak RSS reported by any worker, in KiB", "gauge"),
-)
-
-
-def prometheus_snapshot(summary: Dict[str, Any],
-                        prefix: str = "repro_fleet") -> str:
-    """Render a summary in Prometheus text exposition format.
-
-    A *snapshot*, not a live scrape endpoint: write it where your
-    node-exporter textfile collector looks, or serve it verbatim.
-    """
-    lines: List[str] = []
-    for suffix, path, help_text, prom_type in _PROM_METRICS:
-        value: Any = summary
-        for part in path:
-            value = value.get(part) if isinstance(value, dict) else None
-        if value is None:
-            continue
-        name = f"{prefix}_{suffix}"
-        lines.append(f"# HELP {name} {help_text}")
-        lines.append(f"# TYPE {name} {prom_type}")
-        lines.append(f"{name} {value:g}" if isinstance(value, float)
-                     else f"{name} {value}")
-    rate = summary.get("cache", {}).get("hit_rate")
-    if rate is not None:
-        name = f"{prefix}_cache_hit_ratio"
-        lines.append(f"# HELP {name} Cache hits over cache lookups")
-        lines.append(f"# TYPE {name} gauge")
-        lines.append(f"{name} {rate:g}")
-    return "\n".join(lines) + "\n"
-
-
 def load_eta_hints(path: str = DEFAULT_ETA_HINTS) -> Optional[Dict[str, float]]:
     """Per-driver expected serial seconds from ``BENCH_experiments.json``.
 
@@ -762,9 +670,9 @@ def load_eta_hints(path: str = DEFAULT_ETA_HINTS) -> Optional[Dict[str, float]]:
 class RunProgress:
     """Live progress line for one in-process simulation.
 
-    A thin composition of the pieces above: a :class:`FleetTelemetry`
-    heartbeat feeding a :class:`FleetMonitor` feeding a
-    :class:`ProgressPrinter`.  Attach before ``machine.run``; call
+    A :class:`FleetMonitor` feeding a :class:`ProgressPrinter`, with a
+    ``job_progress`` heartbeat every ``every`` simulated cycles from the
+    machine's ``advance`` probe.  Attach before ``machine.run``; call
     :meth:`finish` after.  Observers never perturb the run, so the
     printed numbers are free.
     """
@@ -774,11 +682,20 @@ class RunProgress:
                  stream: Optional[IO[str]] = None) -> None:
         self.printer = ProgressPrinter(stream)
         self.monitor = FleetMonitor(on_line=self.printer)
-        self.telemetry = FleetTelemetry(self.monitor.handle,
-                                        heartbeat_every=every)
         self.label = label
-        self.telemetry.job_started(label)
-        self.telemetry.watch(machine, label)
+        self.pid = os.getpid()
+        self.monitor.handle(event("job_started", key=label, pid=self.pid))
+        every = max(1, int(every))
+        last = [0]
+
+        def _tick(now_cycles: int) -> None:
+            if now_cycles - last[0] >= every:
+                last[0] = now_cycles - (now_cycles % every)
+                self.monitor.handle(event("job_progress", key=label,
+                                          pid=self.pid, cycles=now_cycles))
+
+        machine.observe().on_advance.append(_tick)
+        self._t0 = _clock()
 
     @classmethod
     def attach(cls, machine: "Machine", label: str,
@@ -787,5 +704,7 @@ class RunProgress:
         return cls(machine, label, every=every, stream=stream)
 
     def finish(self, stats: "RunStats") -> None:
-        self.telemetry.job_finished(self.label, stats.run_cycles)
+        self.monitor.handle(job_finished_event(
+            self.label, self.pid, stats.run_cycles, _clock() - self._t0,
+            _peak_rss_kb()))
         self.printer.done()

@@ -416,12 +416,6 @@ class TestStatus:
         assert doc["completed"] == 1
         assert doc["cache"]["hits"] == 1
 
-    def test_prom_output(self, capsys, tmp_path):
-        log = self._write_log(tmp_path)
-        code, out = run_cli(capsys, "status", str(log), "--prom")
-        assert code == 0
-        assert "repro_fleet_jobs_completed_total 1" in out
-
     def test_bad_log_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("not json\n")
@@ -435,16 +429,14 @@ class TestStatus:
 
 
 class TestExperimentsFleetTelemetry:
-    def test_fleet_log_and_prom_snapshot(self, capsys, tmp_path):
+    def test_fleet_log(self, capsys, tmp_path):
         from repro.obs.fleet import read_fleet_log
 
         out_md = tmp_path / "EXPERIMENTS.md"
         log = tmp_path / "sweep.jsonl"
-        prom = tmp_path / "sweep.prom"
         code, out = run_cli(capsys, "experiments", "--quick",
                             "--no-cache",
                             "--fleet-log", str(log),
-                            "--prom-out", str(prom),
                             "--out", str(out_md))
         assert code == 0
         events = read_fleet_log(str(log))  # validates every event
@@ -452,7 +444,10 @@ class TestExperimentsFleetTelemetry:
         assert kinds[-1] == "sweep_finished"
         assert "section_started" in kinds
         assert kinds.count("job_started") == kinds.count("job_finished")
-        assert "repro_fleet_jobs_completed_total" in prom.read_text()
+        assert "job_progress" not in kinds
+        for doc in events:
+            if doc["event"] == "job_finished":
+                assert "wall_s" in doc and "peak_rss_kb" in doc
         # end-of-run summary reports cache counters (satellite: cache
         # stats surface in the summary line)
         assert "cache off" in out

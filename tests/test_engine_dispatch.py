@@ -53,8 +53,7 @@ def _home(backend: str, dispatch: str):
 
 
 def _msg(kind: str, src: int, block: int) -> Message:
-    return Message(src=src, dst=0, kind=kind, size_flits=2, block=block,
-                   requester=src)
+    return Message(src=src, dst=0, kind=kind, size_flits=2, block=block)
 
 
 @pytest.mark.parametrize("dispatch", DISPATCH_PARAMS)

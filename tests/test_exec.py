@@ -270,6 +270,38 @@ class TestResultCache:
         assert cache.prune() == 1
         assert cache.get(job) is not None
 
+    @pytest.mark.parametrize("text", ["[]", '"x"', "1.5", "null"])
+    def test_prune_removes_entries_that_are_not_objects(self, tmp_path,
+                                                        text):
+        cache = ResultCache(str(tmp_path))
+        job = tiny_job()
+        cache.put(job, execute_job(job))
+        foreign = tmp_path / "ab" / "abc.json"
+        foreign.parent.mkdir(exist_ok=True)
+        foreign.write_text(text)
+        assert cache.prune(dry_run=True) == 1
+        assert cache.prune() == 1
+        assert not foreign.exists()
+        assert cache.get(job) is not None
+
+    @pytest.mark.parametrize("histogram", [[], "x", 1.5])
+    def test_malformed_histogram_is_a_miss(self, tmp_path, histogram):
+        cache = ResultCache(str(tmp_path))
+        job = make_job(WorkerBenchmark, TINY, protocol="DirnH5SNB",
+                       n_nodes=4, track_worker_sets=True)
+        stats = execute_job(job)
+        path = cache.put(job, stats)
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        assert doc["stats"]["worker_set_histogram"]
+        doc["stats"]["worker_set_histogram"] = histogram
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        assert cache.get(job) is None
+        assert cache.misses == 1
+        cache.put(job, stats)  # the unreadable entry is replaced
+        assert cache.get(job) == stats
+
 
 
 def schema_1_key(job) -> str:

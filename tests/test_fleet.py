@@ -2,22 +2,24 @@
 
 The contract under test is two-sided:
 
-- the telemetry *works*: events flow from workers (in-process and over
-  the pool's manager queue), the JSONL log round-trips through the
-  schema validator, the monitor's aggregates and the ``repro status``
-  summary are right, and the Prometheus snapshot renders;
+- the telemetry *works*: the parent emits the events of serial and
+  pooled jobs (the latter with the worker's pid), the JSONL log
+  round-trips through the schema validator, and the monitor's
+  aggregates and the ``repro status`` summary are right;
 - the telemetry *changes nothing*: result maps and cache keys are
   byte-identical with telemetry on or off, at any worker count — the
-  side-channel invariant the CI gate enforces on the full report.
+  side-channel invariant the CI gate enforces on the full report — and
+  a telemetry sweep neither observes the machine nor starts a
+  ``multiprocessing`` manager.
 """
 
 import json
+import multiprocessing
 import os
 
 import pytest
 
 from repro.exec import JobRunner, ResultCache, make_job
-from repro.exec.jobs import execute_job, job_key
 from repro.machine.machine import Machine
 from repro.machine.params import MachineParams
 from repro.obs.fleet import (
@@ -25,13 +27,11 @@ from repro.obs.fleet import (
     FLEETLOG_SCHEMA,
     FleetLogWriter,
     FleetMonitor,
-    FleetTelemetry,
     ProgressPrinter,
     RunProgress,
     event,
     format_fleet_summary,
     load_eta_hints,
-    prometheus_snapshot,
     read_fleet_log,
     replay_fleet_log,
     summarize_fleet_log,
@@ -52,6 +52,12 @@ def tiny_plan():
     return [tiny_job(),
             tiny_job(protocol="full-map"),
             tiny_job(protocol="Dir5H5SB")]
+
+
+def bad_job():
+    """Bogus workload kwargs: the job builds, the run raises."""
+    return make_job(WorkerBenchmark, {"worker_set_size": 2, "bogus": 1},
+                    protocol="DirnH5SNB", n_nodes=4)
 
 
 def results_doc(results):
@@ -151,8 +157,7 @@ class TestSerialTelemetry:
         log = str(tmp_path / "fleet.jsonl")
         cache = ResultCache(str(tmp_path / "cache"))
         monitor = FleetMonitor(log_path=log)
-        runner = JobRunner(jobs=1, cache=cache, telemetry=monitor,
-                           heartbeat_every=200)
+        runner = JobRunner(jobs=1, cache=cache, telemetry=monitor)
         monitor.start(jobs=runner.n_workers)
         runner.run(tiny_plan())
         monitor.finish(jobs_executed=runner.jobs_executed)
@@ -166,7 +171,18 @@ class TestSerialTelemetry:
         assert kinds.count("job_finished") == 3
         assert kinds.count("cache_miss") == 3
         assert kinds.count("cache_put") == 3
-        assert "job_progress" in kinds  # heartbeat fired
+        assert "job_progress" not in kinds  # sweeps send no heartbeats
+        # serial jobs run in this process, one at a time, each announced
+        # before it runs
+        jobs = [(e["event"], e["key"], e["pid"]) for e in events
+                if e["event"] in ("job_started", "job_finished")]
+        keys = [key for _, key, _ in jobs[::2]]
+        assert jobs == [(kind, key, os.getpid()) for key in keys
+                        for kind in ("job_started", "job_finished")]
+        for doc in events:
+            if doc["event"] == "job_finished":
+                assert doc["wall_s"] > 0
+                assert doc["peak_rss_kb"] > 0
         # every monitor-sequenced event is monotone (the header line
         # is written by the log writer itself and carries no seq)
         seqs = [e["seq"] for e in events[1:]]
@@ -186,12 +202,8 @@ class TestSerialTelemetry:
 
     def test_job_failed_event(self):
         monitor = FleetMonitor()
-        telemetry = FleetTelemetry(monitor.handle)
-        # bogus workload kwargs: the job builds, the run raises
-        bad = make_job(WorkerBenchmark, {"worker_set_size": 2, "bogus": 1},
-                       protocol="DirnH5SNB", n_nodes=4)
         with pytest.raises(TypeError):
-            execute_job(bad, telemetry=telemetry)
+            JobRunner(jobs=1, telemetry=monitor).run([bad_job()])
         assert monitor.failed == 1
         assert not monitor.running
 
@@ -220,7 +232,7 @@ class TestPoolTelemetry:
     def test_events_relay_from_worker_processes(self, tmp_path):
         log = str(tmp_path / "fleet.jsonl")
         monitor = FleetMonitor(log_path=log)
-        runner = JobRunner(jobs=2, telemetry=monitor, heartbeat_every=200)
+        runner = JobRunner(jobs=2, telemetry=monitor)
         monitor.start(jobs=runner.n_workers)
         runner.run(tiny_plan())
         monitor.finish(jobs_executed=runner.jobs_executed)
@@ -229,8 +241,23 @@ class TestPoolTelemetry:
         kinds = [e["event"] for e in events]
         assert kinds.count("job_started") == 3
         assert kinds.count("job_finished") == 3
+        assert "job_progress" not in kinds
         pids = {e["pid"] for e in events if "pid" in e}
-        assert pids and os.getpid() not in pids  # emitted by workers
+        assert pids and os.getpid() not in pids  # the workers' pids
+        for doc in events:
+            if doc["event"] == "job_finished":
+                assert doc["wall_s"] > 0
+                assert doc["peak_rss_kb"] > 0
+
+    def test_failed_pool_job_reported_and_raised(self):
+        monitor = FleetMonitor()
+        runner = JobRunner(jobs=2, telemetry=monitor)
+        with pytest.raises(TypeError):
+            runner.run([tiny_job(), bad_job()])
+        assert monitor.completed == 1
+        assert monitor.failed == 1
+        assert not monitor.running
+        assert runner.jobs_executed == 1
 
     def test_pool_results_identical_with_and_without_telemetry(self):
         silent = JobRunner(jobs=2).run(tiny_plan())
@@ -239,6 +266,30 @@ class TestPoolTelemetry:
         serial = JobRunner(jobs=1).run(tiny_plan())
         assert results_doc(silent) == results_doc(observed) \
             == results_doc(serial)
+
+    def test_telemetry_sweep_starts_no_manager(self, monkeypatch):
+        def no_manager(*args, **kwargs):
+            raise AssertionError("telemetry started a multiprocessing "
+                                 "manager")
+
+        monkeypatch.setattr(multiprocessing, "Manager", no_manager)
+        silent = JobRunner(jobs=2).run(tiny_plan())
+        observed = JobRunner(jobs=2, telemetry=FleetMonitor()).run(
+            tiny_plan())
+        assert results_doc(observed) == results_doc(silent)
+
+    def test_telemetry_never_observes_the_machine(self, monkeypatch):
+        calls = []
+
+        def observe(machine):
+            calls.append(machine)
+            raise AssertionError("telemetry attached to the machine")
+
+        monkeypatch.setattr(Machine, "observe", observe)
+        monitor = FleetMonitor()
+        JobRunner(jobs=1, telemetry=monitor).run([tiny_job()])
+        assert calls == []
+        assert monitor.completed == 1
 
     def test_cache_dirs_identical_with_and_without_telemetry(self, tmp_path):
         def listing(root):
@@ -259,13 +310,13 @@ class TestPoolTelemetry:
 
 
 # ----------------------------------------------------------------------
-# Replay, summary, exports
+# Replay and summary
 # ----------------------------------------------------------------------
 
 def sample_log(tmp_path):
     log = str(tmp_path / "fleet.jsonl")
     monitor = FleetMonitor(log_path=log)
-    runner = JobRunner(jobs=1, telemetry=monitor, heartbeat_every=200)
+    runner = JobRunner(jobs=1, telemetry=monitor)
     monitor.start(jobs=runner.n_workers)
     monitor.section("fig2")
     runner.run(tiny_plan())
@@ -298,14 +349,6 @@ class TestSummarize:
         assert "jobs: 3 completed" in text
         assert "slowest jobs:" in text
         assert "sections: fig2" in text
-
-    def test_prometheus_snapshot(self, tmp_path):
-        log = sample_log(tmp_path)
-        text = prometheus_snapshot(summarize_fleet_log(read_fleet_log(log)))
-        assert "repro_fleet_jobs_completed_total 3" in text
-        assert "# TYPE repro_fleet_jobs_completed_total counter" in text
-        assert "repro_fleet_sim_cycles_total" in text
-        assert text.endswith("\n")
 
 
 # ----------------------------------------------------------------------
@@ -567,61 +610,6 @@ class TestShardTaggedLogs:
         assert monitor.running == {}
         assert monitor.completed == 1
         assert monitor.summary()["sim_cycles"] == 120_000
-
-
-# ----------------------------------------------------------------------
-# Prometheus exposition-format validity
-# ----------------------------------------------------------------------
-
-_METRIC_NAME = r"[a-zA-Z_:][a-zA-Z0-9_:]*"
-
-
-class TestPrometheusExposition:
-    def _snapshot(self, tmp_path):
-        return prometheus_snapshot(
-            summarize_fleet_log(read_fleet_log(sample_log(tmp_path))))
-
-    def test_every_line_parses(self, tmp_path):
-        import re
-
-        sample_re = re.compile(rf"^({_METRIC_NAME}) (\S+)$")
-        help_re = re.compile(rf"^# HELP ({_METRIC_NAME}) \S.*$")
-        type_re = re.compile(
-            rf"^# TYPE ({_METRIC_NAME}) (counter|gauge)$")
-        for line in self._snapshot(tmp_path).splitlines():
-            if not line:
-                continue
-            if line.startswith("# HELP"):
-                assert help_re.match(line), line
-            elif line.startswith("# TYPE"):
-                assert type_re.match(line), line
-            else:
-                match = sample_re.match(line)
-                assert match, line
-                float(match.group(2))  # value must round-trip
-
-    def test_help_and_type_precede_every_sample(self, tmp_path):
-        import re
-
-        helped, typed = set(), set()
-        for line in self._snapshot(tmp_path).splitlines():
-            if line.startswith("# HELP"):
-                helped.add(line.split()[2])
-            elif line.startswith("# TYPE"):
-                typed.add(line.split()[2])
-            elif line:
-                name = re.match(_METRIC_NAME, line).group(0)
-                assert name in helped, f"{name} sample before # HELP"
-                assert name in typed, f"{name} sample before # TYPE"
-
-    def test_no_duplicate_metric_names(self, tmp_path):
-        names = [line.split()[0]
-                 for line in self._snapshot(tmp_path).splitlines()
-                 if line and not line.startswith("#")]
-        assert len(names) == len(set(names))
-
-    def test_ends_with_newline(self, tmp_path):
-        assert self._snapshot(tmp_path).endswith("\n")
 
 
 # ----------------------------------------------------------------------
