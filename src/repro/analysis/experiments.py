@@ -135,7 +135,10 @@ def run_one(
         )
     machine = Machine(params, protocol=protocol, software=software,
                       track_worker_sets=track_worker_sets)
-    return machine.run(workload)
+    try:
+        return machine.run(workload)
+    finally:
+        machine.close()
 
 
 def _run_jobs(plan: Sequence[SimJob],

@@ -24,7 +24,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from repro.analysis.cost import (
     cost_performance_points,
@@ -374,12 +374,26 @@ def _machine_from(args: argparse.Namespace) -> Machine:
                    invalidation_mode=args.invalidation_mode)
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    try:
-        machine = _machine_from(args)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def _on_machine(command: Callable[[argparse.Namespace, Machine], int]
+                ) -> Callable[[argparse.Namespace], int]:
+    """Run ``command`` on the machine its options describe, and close
+    the machine once the command has printed everything it prints."""
+    def run(args: argparse.Namespace) -> int:
+        try:
+            machine = _machine_from(args)
+        except ConfigurationError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        try:
+            return command(args, machine)
+        finally:
+            machine.close()
+
+    return run
+
+
+@_on_machine
+def _cmd_run(args: argparse.Namespace, machine: Machine) -> int:
     collector = sampler = recorder = checker = progress = None
     if args.trace_out:
         collector = TraceCollector.attach(machine)
@@ -444,8 +458,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_profile(args: argparse.Namespace) -> int:
-    machine = _machine_from(args)
+@_on_machine
+def _cmd_profile(args: argparse.Namespace, machine: Machine) -> int:
     sampler = IntervalSampler.attach(machine, every=args.sample_every)
     recorder = LatencyRecorder.attach(machine)
     stats = machine.run(APPLICATIONS[args.app]())
@@ -509,8 +523,11 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     for protocol in args.protocols:
         machine = Machine(MachineParams(n_nodes=args.nodes),
                           protocol=protocol)
-        stats = machine.run(WorkerBenchmark(worker_set_size=args.size,
-                                            iterations=args.iterations))
+        try:
+            stats = machine.run(WorkerBenchmark(
+                worker_set_size=args.size, iterations=args.iterations))
+        finally:
+            machine.close()
         if protocol == "DirnHNBS-":
             base = stats.run_cycles
         rows.append((protocol, stats.run_cycles, stats.total_traps))
@@ -550,14 +567,10 @@ def _cmd_cost(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
+@_on_machine
+def _cmd_analyze(args: argparse.Namespace, machine: Machine) -> int:
     import json
 
-    try:
-        machine = _machine_from(args)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     report = AttributionReport.attach(
         machine, transitions=args.show_txn is not None)
     shown: List[TransactionTrace] = []

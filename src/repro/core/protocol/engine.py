@@ -1,10 +1,11 @@
 """The table-driven home protocol engine.
 
 One :class:`HomeProtocolEngine` executes every protocol in the paper's
-spectrum: it resolves its backend's
-:class:`~repro.core.protocol.table.ProtocolTable` into a per-event,
-per-state dispatch structure at construction time, then interprets
-incoming messages against it.  All protocol *behaviour* lives in the
+spectrum: it interprets incoming messages against a per-event,
+per-state plan of its backend's
+:class:`~repro.core.protocol.table.ProtocolTable`, which
+:func:`dispatch_plan` builds once per backend class and every home of
+that class shares.  All protocol *behaviour* lives in the
 table rows and the backend's guard/action methods; the engine itself
 only sequences them.
 
@@ -20,7 +21,8 @@ detached the probe costs one attribute load and a ``None`` check.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+import functools
+from typing import TYPE_CHECKING, Dict, Optional, Tuple, Type
 
 from repro.core.protocol.backends import (
     DirectoryBackend,
@@ -38,53 +40,63 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.machine.node import Node
     from repro.network.fabric import Message
 
-__all__ = ["HomeProtocolEngine", "build_home_engine"]
+__all__ = ["HomeProtocolEngine", "build_home_engine", "dispatch_plan"]
+
+
+@functools.lru_cache(maxsize=None)
+def dispatch_plan(backend_cls: Type[DirectoryBackend]) -> Dict[str, tuple]:
+    """The dispatch plan of ``backend_cls.TABLE`` on ``backend_cls``,
+    built once per class and shared by every caller.
+
+    Maps each event kind to ``(create, strict, by_state,
+    when_missing)``: whether the entry is created on lookup, whether an
+    unmatched event is an error, the per-state row lists (wildcard rows
+    merged in table order), and the rows applicable when no entry
+    exists.  Rows are ``(guard, action, transition)`` triples whose
+    guards and actions are the backend class's plain functions, called
+    with the backend first, so every home of one backend class shares
+    one plan.
+    """
+    table = backend_cls.TABLE
+    plan: Dict[str, tuple] = {}
+    for event, policy in table.policies.items():
+        resolved = []
+        for row in table.rows_for(event):
+            guard = (None if row.guard is None
+                     else getattr(backend_cls, row.guard))
+            resolved.append((row.states, guard,
+                             getattr(backend_cls, row.action), row))
+        by_state: Dict[DirState, Tuple[tuple, ...]] = {}
+        for state in DirState:
+            by_state[state] = tuple(
+                (guard, action, row)
+                for states, guard, action, row in resolved
+                if states is None or state in states
+            )
+        when_missing = tuple(
+            (guard, action, row)
+            for states, guard, action, row in resolved
+            if states is None
+        )
+        plan[event] = (
+            policy.lookup == "create",
+            policy.fallback == "error",
+            by_state,
+            when_missing,
+        )
+    return plan
 
 
 class HomeProtocolEngine:
-    """Executes a protocol table against a directory backend.
-
-    The per-event plan maps each event kind to ``(create, strict,
-    by_state, when_missing)``: whether the entry is created on lookup,
-    whether an unmatched event is an error, the per-state row lists
-    (wildcard rows merged in table order), and the rows applicable when
-    no entry exists.  Rows are ``(guard, action, transition)`` triples
-    with guards and actions pre-resolved to bound backend methods.
-    """
+    """Executes a protocol table against a directory backend, through
+    the plan :func:`dispatch_plan` builds once per backend class."""
 
     def __init__(self, node: "Node", spec: ProtocolSpec,
                  backend: DirectoryBackend) -> None:
         self.node = node
         self.spec = spec
         self.backend = backend
-        table = backend.TABLE
-        self._dispatch: Dict[str, tuple] = {}
-        for event, policy in table.policies.items():
-            rows = table.rows_for(event)
-            resolved = []
-            for row in rows:
-                guard = (None if row.guard is None
-                         else getattr(backend, row.guard))
-                resolved.append((row.states, guard,
-                                 getattr(backend, row.action), row))
-            by_state: Dict[DirState, Tuple[tuple, ...]] = {}
-            for state in DirState:
-                by_state[state] = tuple(
-                    (guard, action, row)
-                    for states, guard, action, row in resolved
-                    if states is None or state in states
-                )
-            when_missing = tuple(
-                (guard, action, row)
-                for states, guard, action, row in resolved
-                if states is None
-            )
-            self._dispatch[event] = (
-                policy.lookup == "create",
-                policy.fallback == "error",
-                by_state,
-                when_missing,
-            )
+        self._dispatch = dispatch_plan(type(backend))
 
     # ------------------------------------------------------------------
     # Compatibility surface (tests and the machine address the home
@@ -104,6 +116,15 @@ class HomeProtocolEngine:
     def entry_for(self, block: int):
         """The backend's directory entry for ``block``."""
         return self.backend.entry_for(block)
+
+    def close(self) -> None:
+        """Drop the engine's and the backend's references to the node,
+        and the software handlers' reference to the backend (see
+        ``Machine.close``)."""
+        self.node = self.backend.node = None
+        software = self.software
+        if software is not None:
+            software.home = None
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -136,8 +157,8 @@ class HomeProtocolEngine:
                 before.transient or getattr(entry, "sw_pending", False)
             )
             for guard, action, row in rows:
-                if guard is None or guard(entry, src, block):
-                    action(entry, src, block)
+                if guard is None or guard(backend, entry, src, block):
+                    action(backend, entry, src, block)
                     # positional: node, at, event, src, block, before,
                     # after, rule, next_label, busy, txn
                     obs.transition(TransitionApplied(
@@ -150,8 +171,8 @@ class HomeProtocolEngine:
                     return
         else:
             for guard, action, row in rows:
-                if guard is None or guard(entry, src, block):
-                    action(entry, src, block)
+                if guard is None or guard(backend, entry, src, block):
+                    action(backend, entry, src, block)
                     return
         if strict:
             backend.no_rule(kind, entry, src, block)

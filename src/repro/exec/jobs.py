@@ -176,7 +176,9 @@ def execute_job(job: SimJob, check_invariants: bool = False) -> RunStats:
     :class:`~repro.core.protocol.invariants.InvariantViolation`.
 
     ``check_invariants`` is an execution-mode knob, not part of the job
-    spec, so it never changes a job's cache key.  Fleet telemetry
+    spec, so it never changes a job's cache key.  The machine is closed
+    (:meth:`~repro.machine.machine.Machine.close`) on the way out, also
+    when the run raises, so reference counting frees it.  Fleet telemetry
     attaches nothing here: the runner times the call from outside
     (:func:`repro.obs.fleet.run_timed`), so a job runs the same
     machine with telemetry on or off.
@@ -190,23 +192,26 @@ def execute_job(job: SimJob, check_invariants: bool = False) -> RunStats:
         track_worker_sets=job.track_worker_sets,
         invalidation_mode=job.invalidation_mode,
     )
-    checker = None
-    if check_invariants:
-        from repro.core.protocol.invariants import InvariantChecker
+    try:
+        checker = None
+        if check_invariants:
+            from repro.core.protocol.invariants import InvariantChecker
 
-        checker = InvariantChecker.attach(machine)
-    report = None
-    if job.attribution:
-        from repro.obs.attribution import AttributionReport
+            checker = InvariantChecker.attach(machine)
+        report = None
+        if job.attribution:
+            from repro.obs.attribution import AttributionReport
 
-        report = AttributionReport.attach(machine)
-    stats = machine.run(job.build_workload())
-    if checker is not None:
-        checker.finish()
-        checker.assert_clean()
-    if report is not None:
-        from repro.obs.attribution import attribution_dict
+            report = AttributionReport.attach(machine)
+        stats = machine.run(job.build_workload())
+        if checker is not None:
+            checker.finish()
+            checker.assert_clean()
+        if report is not None:
+            from repro.obs.attribution import attribution_dict
 
-        stats.attribution = attribution_dict(
-            report, config={"job": job_key(job)})
-    return stats
+            stats.attribution = attribution_dict(
+                report, config={"job": job_key(job)})
+        return stats
+    finally:
+        machine.close()

@@ -72,6 +72,16 @@ class Node:
         #: synchronously in response inherits the causing transaction.
         self.current_txn: Optional[int] = None
 
+    def close(self) -> None:
+        """Drop the references from this node and its components back
+        up to the node and the machine (see ``Machine.close``)."""
+        self.machine = None
+        self.processor.close()
+        self.cache_ctrl.node = None
+        self.home.close()
+        if self.interface is not None:
+            self.interface.node = None
+
     # ------------------------------------------------------------------
     # Messaging
     # ------------------------------------------------------------------

@@ -114,6 +114,11 @@ class Processor:
         # op-coverage fixtures pin.
         self.sim.after(0, self._guarded(self._step), owner=self.node.id)
 
+    def close(self) -> None:
+        """Drop the node, the machine and the workload thread, whose
+        frames hold the machine (see ``Machine.close``)."""
+        self.node = self.machine = self._thread = None
+
     @property
     def done(self) -> bool:
         return self.state is ProcState.DONE

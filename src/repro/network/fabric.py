@@ -124,6 +124,12 @@ class Fabric:
         """Register the delivery callback for ``node``."""
         self._receivers[node] = receiver
 
+    def close(self) -> None:
+        """Drop the delivery callbacks and the bus, which hold the nodes
+        and the observers (see ``Machine.close``)."""
+        self._receivers = []
+        self.obs = None
+
     @staticmethod
     def _unattached(msg: Message) -> None:
         raise RuntimeError(f"no receiver attached at node {msg.dst}")

@@ -47,6 +47,7 @@ byte-stable across runs and fit for committed baselines
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.obs.events import StallSpan
@@ -269,9 +270,18 @@ class AttributionReport:
         self.total_cycles = 0
         self.n_stalls = 0
         self.n_transactions = 0
-        #: the collector feeding this report (set by :meth:`attach`);
-        #: add more completion subscribers to it to keep traces
-        self.collector: Optional[SpanCollector] = None
+        self._collector: Optional["weakref.ref[SpanCollector]"] = None
+
+    @property
+    def collector(self) -> Optional[SpanCollector]:
+        """The collector feeding this report (set by :meth:`attach`);
+        add more completion subscribers to it to keep traces.
+
+        The collector holds :meth:`add`, so the report holds it only
+        weakly: it lives as long as the machine whose bus feeds it, and
+        this is ``None`` once that machine is freed.
+        """
+        return None if self._collector is None else self._collector()
 
     @classmethod
     def attach(cls, machine: "Machine",
@@ -285,9 +295,9 @@ class AttributionReport:
         :func:`~repro.obs.spans.format_trace`).
         """
         report = cls()
-        report.collector = SpanCollector.attach(machine,
-                                                transitions=transitions)
-        report.collector.on_complete.append(report.add)
+        collector = SpanCollector.attach(machine, transitions=transitions)
+        collector.on_complete.append(report.add)
+        report._collector = weakref.ref(collector)
         return report
 
     def add(self, stall: StallSpan,

@@ -117,6 +117,12 @@ class Simulator:
             )
         heappush(self._heap, (time, owner, seq, fn))
 
+    def close(self) -> None:
+        """Drop every queued event and the probe: their callbacks hold
+        the objects that scheduled them (see ``Machine.close``)."""
+        self._heap = []
+        self.probe = None
+
     def stop(self) -> None:
         """Stop the run loop after the current event completes."""
         self._stopped = True

@@ -103,9 +103,9 @@ def walk_table(home, message) -> None:
     """Apply ``message`` by reading the home's protocol table directly.
 
     A reference for :meth:`~repro.core.protocol.engine.
-    HomeProtocolEngine.handle`, which compiles ``backend.TABLE`` into a
-    per-event, per-state plan once at construction.  This walk instead
-    interprets the declared rows on every delivery: look up the event's
+    HomeProtocolEngine.handle`, which runs a per-event, per-state plan
+    of ``backend.TABLE`` compiled once per backend class.  This walk
+    instead interprets the declared rows on every delivery: look up the event's
     policy, then fire the first row, in table order, whose state set
     matches (wildcards also match a missing entry) and whose guard
     passes.  It has no ``"transition"`` probe, so use it on machines
