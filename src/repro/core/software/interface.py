@@ -19,13 +19,11 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Iterable, List, Optional
 
-from repro.common.errors import ConfigurationError
 from repro.common.types import TrapKind
 from repro.core import messages as msg
 from repro.core.directory import DirectoryEntry
 from repro.core.software.costmodel import (
     FLEXIBLE,
-    OPTIMIZED,
     CostModel,
     HandlerCost,
 )
@@ -47,13 +45,6 @@ class CoherenceInterface:
 
     def __init__(self, node: "Node", spec: ProtocolSpec,
                  implementation: str = FLEXIBLE) -> None:
-        if implementation == OPTIMIZED and spec.name != "DirnH5SNB":
-            # The hand-tuned assembly version implements only DirnH5SNB
-            # (Section 4.1: "this version only implements DirnH5SNB").
-            raise ConfigurationError(
-                "the optimized (assembly) software implements only "
-                f"DirnH5SNB, not {spec.name}"
-            )
         self.node = node
         self.spec = spec
         self.implementation = implementation
